@@ -86,7 +86,7 @@ cfg = ScenarioConfig(
     known_input=np.ones((13, 1)) * 0.3,
 )
 xs, ys = simulate_plant(cfg)
-u = cfg.input_for(mode.id)
+u = cfg.inputs
 
 state = init_observer(np.zeros(2), model.delta_x0)
 tracker = ThresholdTracker(

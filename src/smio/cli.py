@@ -34,27 +34,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import (
-    DecompositionError,
-    decompose_mode,
-    error_dynamics,
-    synthesize_gains,
-)
 from .model import (
     AttackSignal,
     ModelError,
     ModeHypothesis,
     SystemModel,
-    check_strong_detectability,
     enumerate_modes,
     validate,
 )
 from .modeguard import detectability_report
 from .sim import (
+    ENUM_BUDGET_MAX,
     RunTrace,
     ScenarioConfig,
     SimulationError,
     benchmark_scenario,
+    build_bank,
     run_pipeline,
     sinusoid_attack,
 )
@@ -255,6 +250,9 @@ def load_scenario(
         k_inf_cutoff = _integer(tuning, "k_inf_cutoff", "tuning", 25)
     if enum_budget is None:
         enum_budget = _integer(tuning, "enum_budget", "tuning", 16)
+    # the trajectory bounds serve `smio analyze`; a simulation only checks them
+    for key in ("R_x", "R_y"):
+        _number(tuning, key, "tuning")
 
     if not any(m.id == true_mode for m in modes):
         raise ConfigError(
@@ -274,8 +272,6 @@ def load_scenario(
             noise_seed=seed,
             xhat0=scen.get("xhat0"),
             x0=scen.get("x0"),
-            R_x=_number(tuning, "R_x", "tuning"),
-            R_y=_number(tuning, "R_y", "tuning"),
             k_inf_cutoff=k_inf_cutoff,
             enum_budget=enum_budget,
         )
@@ -441,25 +437,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "tuning must supply both R_x and R_y (or neither) for condition (i)"
         )
 
-    entries = []
-    excluded = {}
-    for mode in modes:
-        if not check_strong_detectability(model.A, mode.Gq, model.C, mode.Hq):
-            excluded[mode.id] = "not strongly detectable"
-            continue
-        try:
-            dec = decompose_mode(model, mode)
-            gains = synthesize_gains(dec, model)
-            dyn = error_dynamics(dec, gains, model)
-        except DecompositionError as exc:
-            excluded[mode.id] = f"{type(exc).__name__}: {exc}"
-            continue
-        entries.append((mode, dec, dyn))
-    if not entries:
+    bank, excluded = build_bank(model, modes)
+    if not bank:
         raise ConfigError(
             "no usable mode hypothesis: "
             + "; ".join(f"mode {q}: {why}" for q, why in sorted(excluded.items()))
         )
+    entries = [(mode, dec, dyn) for mode, dec, _gains, dyn in bank.values()]
 
     report = detectability_report(model, entries, R_x, R_y)
     doc_out = report.to_dict()
@@ -520,7 +504,7 @@ def _add_common(
         "--enum-budget",
         type=int,
         default=None,
-        help="max free-sign bits for exact vertex enumeration (default 16)",
+        help=f"max free-sign bits for exact vertex enumeration (default 16, max {ENUM_BUDGET_MAX})",
     )
 
 

@@ -65,6 +65,10 @@ class ConservativeRadiusWarning(UserWarning):
     """
 
 
+def _norm2(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)
@@ -128,6 +132,10 @@ class ErrorDynamics:
     entry points (v at the previous and current step) into the error.
     Starred variants describe the pre-correction (measurement-updated but
     not innovation-corrected) error.  ``theta`` is the 2-norm of ``Ae``.
+
+    The other floats are the 2-norms the observer's radius recursion uses:
+    of ``A - G1 M1 C1`` (``a_pred``), ``G1 M1 T1``, ``Bew``, ``Bev1`` plus
+    ``Bev2``, ``V1 M1``, ``V2 M2``, ``C1`` and ``C2``.
     """
 
     Abar: np.ndarray = field(repr=False)
@@ -139,11 +147,18 @@ class ErrorDynamics:
     Bev1: np.ndarray = field(repr=False)
     Bev2: np.ndarray = field(repr=False)
     theta: float
+    a_pred: float
+    v_pred: float
+    w_gain: float
+    v_gain: float
+    v1m1: float
+    v2m2: float
+    c1: float
+    c2: float
 
     def __post_init__(self) -> None:
         for name in ("Abar", "Ae", "Bew_star", "Bev1_star", "Bev2_star", "Bew", "Bev1", "Bev2"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        object.__setattr__(self, "theta", float(self.theta))
 
     @property
     def spectral_radius(self) -> float:
@@ -313,18 +328,30 @@ def error_dynamics(
     IL = np.eye(n) - gains.Ltilde @ dec.C2
     Ae = IL @ Abar
     Bew_star = Phi
-    Bev1_star = -Phi @ (dec.G1 @ gains.M1 @ dec.T1)
+    G1M1T1 = dec.G1 @ gains.M1 @ dec.T1
+    Bev1_star = -Phi @ G1M1T1
     Bev2_star = -dec.G2 @ gains.M2 @ dec.T2
+    Bew = IL @ Bew_star
+    Bev1 = IL @ Bev1_star
+    Bev2 = IL @ Bev2_star - gains.Ltilde @ dec.T2
     dyn = ErrorDynamics(
         Abar=Abar,
         Ae=Ae,
         Bew_star=Bew_star,
         Bev1_star=Bev1_star,
         Bev2_star=Bev2_star,
-        Bew=IL @ Bew_star,
-        Bev1=IL @ Bev1_star,
-        Bev2=IL @ Bev2_star - gains.Ltilde @ dec.T2,
-        theta=float(np.linalg.norm(Ae, 2)) if Ae.size else 0.0,
+        Bew=Bew,
+        Bev1=Bev1,
+        Bev2=Bev2,
+        theta=_norm2(Ae),
+        a_pred=_norm2(At),
+        v_pred=_norm2(G1M1T1),
+        w_gain=_norm2(Bew),
+        v_gain=_norm2(Bev1) + _norm2(Bev2),
+        v1m1=_norm2(dec.V1 @ gains.M1),
+        v2m2=_norm2(dec.V2 @ gains.M2),
+        c1=_norm2(dec.C1),
+        c2=_norm2(dec.C2),
     )
     if dyn.theta >= 1.0 > dyn.spectral_radius:
         warnings.warn(

@@ -35,6 +35,7 @@ __all__ = [
     "AllModesEliminatedError",
     "UnsupportedPairError",
     "residual",
+    "residual_scale",
     "residual_conditioned",
     "build_stacked",
     "threshold_inf",
@@ -87,7 +88,8 @@ class ResidualRecord:
     eliminated: bool
 
     @classmethod
-    def evaluate(cls, mode_id, k, r, delta_inf, delta_tri) -> "ResidualRecord":
+    def evaluate(cls, mode_id, k, r, delta_inf, delta_tri, scale=0.0) -> "ResidualRecord":
+        """Test residual ``r``; ``scale`` is :func:`eliminate`'s."""
         r = np.asarray(r, dtype=float).reshape(-1)
         r_norm = float(np.linalg.norm(r))
         delta_tri = float(delta_tri)
@@ -100,7 +102,7 @@ class ResidualRecord:
             delta_inf=None if delta_inf is None else float(delta_inf),
             delta_tri=delta_tri,
             delta_hat=delta_hat,
-            eliminated=eliminate(r_norm, delta_hat),
+            eliminated=eliminate(r_norm, delta_hat, scale),
         )
 
 
@@ -194,6 +196,13 @@ def residual(dec: ModeDecomposition, xhat_star, u_k, y_k) -> np.ndarray:
     return dec.T2 @ y_k - dec.C2 @ xhat_star - dec.D2 @ u_k
 
 
+def residual_scale(dec: ModeDecomposition, xhat_star, u_k, y_k) -> float:
+    """||T2 y_k|| + ||C2 xhat_star|| + ||D2 u_k|| for 1-D arrays: the size of
+    the terms :func:`residual` subtracts, which bounds its rounding error."""
+    terms = (dec.T2 @ y_k, dec.C2 @ xhat_star, dec.D2 @ u_k)
+    return float(sum(np.linalg.norm(t) for t in terms))
+
+
 def residual_conditioned(
     dec_q: ModeDecomposition, dec_qstar: ModeDecomposition, xhat_star_q, u_k, y_k
 ) -> np.ndarray:
@@ -273,29 +282,32 @@ class ThresholdTracker:
         self._cum_mv: list[float] = []
         self._bev1_norm: list[float] = []
 
-    def _append_power(self) -> None:
-        j = len(self._row_norm)
-        row = self._C2A if j == 0 else self._last_row @ self._Ae
-        self._last_row = row
-        wp = row @ self._Bew
-        bp = row @ self._Bev1
-        mp = row @ self._Mv
-        self._row_norm.append(_norm2(row))
-        self._bev1_norm.append(_norm2(bp))
-        prev_w = self._cum_w[-1] if self._cum_w else 0.0
-        prev_mv = self._cum_mv[-1] if self._cum_mv else 0.0
-        self._cum_w.append(prev_w + _norm2(wp))
-        self._cum_mv.append(prev_mv + _norm2(mp))
-        if j <= self.k_inf_cutoff:
-            self._rows.append(row)
-            self._wprod.append(wp)
-            self._bprod.append(bp)
-            self._mvprod.append(mp)
+    def extend(self, levels: int = 1) -> None:
+        """Move ``levels`` steps ahead, growing the row family C2*Abar*Ae^j
+        and its norm sums, without evaluating any threshold."""
+        for _ in range(int(levels)):
+            j = self.k
+            row = self._C2A if j == 0 else self._last_row @ self._Ae
+            self._last_row = row
+            wp = row @ self._Bew
+            bp = row @ self._Bev1
+            mp = row @ self._Mv
+            self._row_norm.append(_norm2(row))
+            self._bev1_norm.append(_norm2(bp))
+            prev_w = self._cum_w[-1] if self._cum_w else 0.0
+            prev_mv = self._cum_mv[-1] if self._cum_mv else 0.0
+            self._cum_w.append(prev_w + _norm2(wp))
+            self._cum_mv.append(prev_mv + _norm2(mp))
+            if j <= self.k_inf_cutoff:
+                self._rows.append(row)
+                self._wprod.append(wp)
+                self._bprod.append(bp)
+                self._mvprod.append(mp)
+            self.k += 1
 
     def advance(self) -> tuple[float | None, float, float]:
         """Move to the next step and return (delta_inf, delta_tri, delta_hat)."""
-        self.k += 1
-        self._append_power()
+        self.extend()
         dtri = self.threshold_tri()
         if self.k <= self.k_inf_cutoff:
             dinf = threshold_inf(self.stacked(), enum_budget=self.enum_budget)
@@ -369,9 +381,7 @@ def build_stacked(
     tracker = ThresholdTracker(
         errdyn, dec, eta_w=eta_w, eta_v=eta_v, delta_x0=delta_x0, k_inf_cutoff=k
     )
-    for _ in range(k):
-        tracker.k += 1
-        tracker._append_power()
+    tracker.extend(k)
     return tracker.stacked()
 
 
@@ -418,9 +428,7 @@ def threshold_tri(
     tracker = ThresholdTracker(
         errdyn, dec, eta_w=eta_w, eta_v=eta_v, delta_x0=delta_x0, k_inf_cutoff=0
     )
-    for _ in range(k):
-        tracker.k += 1
-        tracker._append_power()
+    tracker.extend(k)
     return tracker.threshold_tri()
 
 
@@ -461,21 +469,25 @@ def eta_t(k: int, n: int, l: int, delta_x0: float, eta_w: float, eta_v: float) -
 # --------------------------------------------------------------- elimination
 
 
-def eliminate(r_norm: float, delta_hat: float) -> bool:
+def eliminate(r_norm: float, delta_hat: float, scale: float = 0.0) -> bool:
     """True iff the measured residual norm strictly exceeds the threshold.
 
-    A machine-noise guard (1e-14 relative to the threshold scale) keeps
-    rounding dust from deciding: a mode whose residual map is identically
-    zero — full attack absorption makes every stacked block vanish, so both
-    the residual and its threshold are exactly zero in exact arithmetic —
-    must not be rejected over a 1e-19 floating-point leftover.  Any genuine
-    crossing clears the guard by many orders of magnitude.
+    A machine-noise guard keeps rounding dust from deciding: a mode whose
+    residual map is identically zero — full attack absorption makes every
+    stacked block vanish, so both the residual and its threshold are
+    exactly zero in exact arithmetic — must not be rejected over a
+    floating-point leftover.  That leftover grows with the terms the
+    residual is computed from, so the guard is 1e-14 relative to the
+    threshold and to ``scale``, the size of those terms
+    (:func:`residual_scale`).  Any genuine crossing clears the guard by
+    many orders of magnitude.
     """
     r_norm = float(r_norm)
     delta_hat = float(delta_hat)
-    if r_norm < 0 or delta_hat < 0:
-        raise ValueError("residual norm and threshold must be nonnegative")
-    return r_norm > delta_hat + 1e-14 * (1.0 + delta_hat)
+    scale = float(scale)
+    if r_norm < 0 or delta_hat < 0 or scale < 0:
+        raise ValueError("residual norm, threshold and scale must be nonnegative")
+    return r_norm > delta_hat + 1e-14 * (1.0 + delta_hat + scale)
 
 
 def fuse(active, estimates) -> GlobalEstimate:

@@ -346,12 +346,15 @@ def check_strong_detectability(A, Gq, C, Hq, tol: float = 1e-8) -> bool:
 
 
 def validate(model: SystemModel) -> list[str]:
-    """Report every dimension/sign violation in the model; empty iff well-formed."""
+    """Report every dimension, sign or non-finite violation in the model;
+    empty iff well-formed."""
     report = []
     mats = {name: getattr(model, name) for name in ("A", "B", "C", "D", "G", "H")}
     for name, arr in mats.items():
         if arr.ndim != 2:
             report.append(f"{name} must be a 2-D matrix; got array of shape {arr.shape}")
+        elif not np.all(np.isfinite(arr)):
+            report.append(f"{name} must hold finite numbers only (no NaN or Infinity)")
     if report:
         return report
 

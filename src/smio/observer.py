@@ -21,7 +21,6 @@ decomposition module for the expansive-but-stable case).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,34 +107,10 @@ def init_observer(xhat0, delta_x0: float) -> ObserverState:
     )
 
 
-def _norm2(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
-_COEFFS: "weakref.WeakKeyDictionary[ErrorDynamics, dict]" = weakref.WeakKeyDictionary()
-
-
-def _radius_coeffs(
-    dec: ModeDecomposition, gains: ObserverGains, errdyn: ErrorDynamics, model: SystemModel
-) -> dict:
-    """Constant norms of the radius recursion, cached per dynamics object."""
-    got = _COEFFS.get(errdyn)
-    if got is not None:
-        return got
-    At = model.A - dec.G1 @ gains.M1 @ dec.C1
-    coeffs = {
-        "a_pred": _norm2(At),
-        "v_pred": _norm2(dec.G1 @ gains.M1 @ dec.T1),
-        "theta": errdyn.theta,
-        "w_gain": _norm2(errdyn.Bew),
-        "v_gain": _norm2(errdyn.Bev1) + _norm2(errdyn.Bev2),
-        "v1m1": _norm2(dec.V1 @ gains.M1),
-        "v2m2": _norm2(dec.V2 @ gains.M2),
-        "c1": _norm2(dec.C1),
-        "c2": _norm2(dec.C2),
-    }
-    _COEFFS[errdyn] = coeffs
-    return coeffs
+def _times(coeff: float, radius: float) -> float:
+    """``coeff * radius``, where an exactly-zero coefficient contributes 0
+    even after the radius has overflowed to inf (``0 * inf`` is NaN)."""
+    return coeff * radius if coeff else 0.0
 
 
 def step(
@@ -190,13 +165,13 @@ def step(
     xkk = xstar + gains.Ltilde @ (z2 - dec.C2 @ xstar - dec.D2 @ u)
     dhat = dec.V1 @ d1 + dec.V2 @ d2
 
-    cf = _radius_coeffs(dec, gains, errdyn, model)
+    ed = errdyn
     eta_w, eta_v = model.eta_w, model.eta_v
     delta_prev = state.delta_x
-    delta_pred = cf["a_pred"] * delta_prev + cf["v_pred"] * eta_v + eta_w
-    delta_x = cf["theta"] * delta_prev + cf["w_gain"] * eta_w + cf["v_gain"] * eta_v
-    delta_d = cf["v1m1"] * (cf["c1"] * delta_prev + eta_v) + cf["v2m2"] * (
-        cf["c2"] * delta_pred + eta_v
+    delta_pred = _times(ed.a_pred, delta_prev) + ed.v_pred * eta_v + eta_w
+    delta_x = _times(ed.theta, delta_prev) + ed.w_gain * eta_w + ed.v_gain * eta_v
+    delta_d = _times(ed.v1m1, _times(ed.c1, delta_prev) + eta_v) + _times(
+        ed.v2m2, _times(ed.c2, delta_pred) + eta_v
     )
 
     return ObserverState(

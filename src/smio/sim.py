@@ -10,15 +10,12 @@ to one seed and a fixed stream order, which makes traces bit-reproducible.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import (
     DecompositionError,
-    SynthesisError,
     decompose_mode,
     error_dynamics,
     synthesize_gains,
@@ -30,21 +27,35 @@ from .model import (
     check_strong_detectability,
     enumerate_modes,
 )
-from .modeguard import GlobalEstimate, ResidualRecord, ThresholdTracker, fuse, residual
+from .modeguard import (
+    GlobalEstimate,
+    ResidualRecord,
+    ThresholdTracker,
+    fuse,
+    residual,
+    residual_scale,
+)
 from .observer import ObserverState, init_observer, set_estimates, step
 
 __all__ = [
     "SimulationError",
     "ScenarioConfig",
     "RunTrace",
+    "ENUM_BUDGET_MAX",
     "sample_bounded",
     "simulate_plant",
+    "build_bank",
     "run_pipeline",
     "benchmark_model",
     "benchmark_modes",
     "sinusoid_attack",
     "benchmark_scenario",
 ]
+
+
+# Largest accepted ``enum_budget``: enumerating c columns and r residual rows
+# takes 2**(c-1) * (2c + r) * 8 bytes, ~9 MB at 16, ~180 MB at 20, 3.4 GB at 24.
+ENUM_BUDGET_MAX = 20
 
 
 class SimulationError(ValueError):
@@ -57,13 +68,16 @@ def _opt_array(x, name, shape=None):
     arr = np.array(x, dtype=float)
     if shape is not None and arr.shape != shape:
         raise SimulationError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SimulationError(f"{name} must hold finite numbers only (no NaN or Infinity)")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Everything one estimation run depends on."""
+    """Everything one estimation run depends on.  Every array must be
+    finite, and ``enum_budget`` at most :data:`ENUM_BUDGET_MAX`."""
 
     model: SystemModel
     modes: tuple[ModeHypothesis, ...]
@@ -71,12 +85,9 @@ class ScenarioConfig:
     horizon: int
     attack: AttackSignal | None = None
     known_input: np.ndarray | None = field(default=None, repr=False)
-    per_mode_input: dict[int, np.ndarray] | None = field(default=None, repr=False)
     noise_seed: int = 0
     xhat0: np.ndarray | None = field(default=None, repr=False)
     x0: np.ndarray | None = field(default=None, repr=False)
-    R_x: float | None = None
-    R_y: float | None = None
     k_inf_cutoff: int = 25
     enum_budget: int = 16
 
@@ -86,6 +97,10 @@ class ScenarioConfig:
         object.__setattr__(self, "true_mode", int(self.true_mode))
         if self.horizon < 1:
             raise SimulationError("horizon must be at least 1")
+        if self.enum_budget > ENUM_BUDGET_MAX:
+            raise SimulationError(
+                f"enum_budget must be at most {ENUM_BUDGET_MAX}, got {self.enum_budget}"
+            )
         ids = [m.id for m in self.modes]
         if len(set(ids)) != len(ids):
             raise SimulationError("mode ids must be unique")
@@ -114,14 +129,6 @@ class ScenarioConfig:
                     f"known_input must cover {self.horizon + 1} steps, "
                     f"got {self.known_input.shape[0]}"
                 )
-        if self.per_mode_input:
-            for q, seq in self.per_mode_input.items():
-                arr = np.asarray(seq, dtype=float)
-                if arr.ndim != 2 or arr.shape[1] != m or arr.shape[0] < self.horizon + 1:
-                    raise SimulationError(
-                        f"per_mode_input[{q}] must be at least ({self.horizon + 1}, {m}), "
-                        f"got {arr.shape}"
-                    )
         object.__setattr__(self, "xhat0", _opt_array(self.xhat0, "xhat0", (n,)))
         object.__setattr__(self, "x0", _opt_array(self.x0, "x0", (n,)))
         if self.attack is not None:
@@ -134,6 +141,7 @@ class ScenarioConfig:
                 raise SimulationError(
                     f"attack signal must cover {self.horizon + 1} steps, got {len(self.attack)}"
                 )
+            _opt_array(self.attack.values, "attack values")
 
     def mode_by_id(self, mode_id: int) -> ModeHypothesis:
         for m in self.modes:
@@ -141,16 +149,13 @@ class ScenarioConfig:
                 return m
         raise SimulationError(f"no mode with id {mode_id}")
 
-    def input_for(self, mode_id: int) -> np.ndarray:
-        """Input sequence fed to the given mode's observer (and, for the
-        true mode, to the plant)."""
-        if self.per_mode_input and mode_id in self.per_mode_input:
-            u = np.asarray(self.per_mode_input[mode_id], dtype=float)
-        elif self.known_input is not None:
-            u = self.known_input
-        else:
-            u = np.zeros((self.horizon + 1, self.model.m))
-        return u
+    @property
+    def inputs(self) -> np.ndarray:
+        """Known input sequence fed to the plant and to every observer
+        (zeros when the scenario gives none)."""
+        if self.known_input is not None:
+            return self.known_input
+        return np.zeros((self.horizon + 1, self.model.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +220,7 @@ def _simulate(cfg: ScenarioConfig):
         d = cfg.attack.values
     else:
         d = np.zeros((N + 1, mode_star.rho))
-    u = cfg.input_for(cfg.true_mode)
+    u = cfg.inputs
     init_ss, noise_ss = np.random.SeedSequence(cfg.noise_seed).spawn(2)
     rng_init = np.random.default_rng(init_ss)
     rng_noise = np.random.default_rng(noise_ss)
@@ -244,11 +249,29 @@ def simulate_plant(cfg: ScenarioConfig):
     return xs, ys
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SMIO_THREADS", "1")))
-    except ValueError:
-        return 1
+def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, str]]:
+    """Build one observer per usable mode hypothesis.
+
+    Runs strong detectability, decomposition, gain synthesis and error
+    dynamics for each mode.  Returns ``(bank, excluded)``: ``bank`` maps a
+    mode id to its ``(mode, decomposition, gains, error dynamics)`` tuple,
+    ``excluded`` maps the id of every mode left out to the reason.
+    """
+    bank: dict[int, tuple] = {}
+    excluded: dict[int, str] = {}
+    for mode in modes:
+        if not check_strong_detectability(model.A, mode.Gq, model.C, mode.Hq):
+            excluded[mode.id] = "not strongly detectable"
+            continue
+        try:
+            dec = decompose_mode(model, mode)
+            gains = synthesize_gains(dec, model)
+            dyn = error_dynamics(dec, gains, model)
+        except DecompositionError as exc:
+            excluded[mode.id] = f"{type(exc).__name__}: {exc}"
+            continue
+        bank[mode.id] = (mode, dec, gains, dyn)
+    return bank, excluded
 
 
 def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
@@ -261,42 +284,26 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     to that step.
     """
     model = cfg.model
-    bank: dict[int, tuple] = {}
-    excluded: dict[int, str] = {}
-    for mode in cfg.modes:
-        try:
-            if not check_strong_detectability(model.A, mode.Gq, model.C, mode.Hq):
-                excluded[mode.id] = "not strongly detectable"
-                continue
-            dec = decompose_mode(model, mode)
-            gains = synthesize_gains(dec, model)
-            dyn = error_dynamics(dec, gains, model)
-        except (DecompositionError, SynthesisError) as exc:
-            excluded[mode.id] = f"{type(exc).__name__}: {exc}"
-            continue
-        bank[mode.id] = (mode, dec, gains, dyn)
+    bank, excluded = build_bank(model, cfg.modes)
     if cfg.true_mode in excluded:
         raise SimulationError(
             f"true mode {cfg.true_mode} unusable: {excluded[cfg.true_mode]}"
         )
-    if not bank:
-        raise SimulationError("every mode hypothesis was excluded: " + repr(excluded))
 
-    xs, ys, u_true, d_true, _ws, _vs, xhat0 = _simulate(cfg)
+    xs, ys, u, d_true, _ws, _vs, xhat0 = _simulate(cfg)
     N = cfg.horizon
-    inputs = {q: cfg.input_for(q) for q in bank}
     states = {q: init_observer(xhat0, model.delta_x0) for q in bank}
     trackers = {
         q: ThresholdTracker(
-            bank[q][3],
-            bank[q][1],
+            dyn,
+            dec,
             eta_w=model.eta_w,
             eta_v=model.eta_v,
             delta_x0=model.delta_x0,
             k_inf_cutoff=cfg.k_inf_cutoff,
             enum_budget=cfg.enum_budget,
         )
-        for q in bank
+        for q, (_mode, dec, _gains, dyn) in bank.items()
     }
     active: list[int] = sorted(bank)
     active_sets: list[tuple[int, ...]] = []
@@ -309,66 +316,53 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     fault_step = None
     violations = 0
 
-    def advance_mode(q: int):
-        mode, dec, gains, dyn = bank[q]
-        st = step(states[q], dec, gains, dyn, inputs[q][k], ys[k], model)
-        if st.k < 1:
-            return q, st, None
-        dinf, dtri, _ = trackers[q].advance()
-        rec = ResidualRecord.evaluate(
-            q, st.k, residual(dec, st.xhat_star, inputs[q][k], ys[k]), dinf, dtri
-        )
-        return q, st, rec
-
-    workers = _worker_count()
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for k in range(N + 1):
-            if executor is not None:
-                results = list(executor.map(advance_mode, active))
-            else:
-                results = [advance_mode(q) for q in active]
-            # single-writer reduction in ascending mode order
-            for q, st, rec in sorted(results, key=lambda t: t[0]):
-                states[q] = st
-                if rec is not None:
-                    last_record[q] = rec
-                    if rec.eliminated and eliminated_at[q] is None:
-                        eliminated_at[q] = k
-            active = [q for q in active if eliminated_at[q] is None]
-            active_sets.append(tuple(active))
-            records.append(dict(last_record))
-            snapshots.append(dict(states))
-            if k >= 1 and cfg.true_mode in active:
-                xb, db = set_estimates(states[cfg.true_mode])
-                if not xb.contains(xs[k], slack=1e-9 * (1.0 + xb.radius)):
-                    violations += 1
-                d_prev = d_true[k - 1] if d_true.shape[1] else np.zeros(0)
-                if not db.contains(d_prev, slack=1e-9 * (1.0 + db.radius)):
-                    violations += 1
-            if not active:
-                fault = (
-                    f"all mode hypotheses eliminated at step {k}; the true mode "
-                    "cannot trip its own threshold, so an assumption is violated "
-                    "(mode family, noise bounds, or data consistency)"
-                )
-                fault_step = k
-                fused.append(None)
-                break
-            if k == 0:
-                fused.append(None)
-            else:
-                ests = {q: set_estimates(states[q]) for q in active}
-                fused.append(fuse(active, ests))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    for k in range(N + 1):
+        for q in active:
+            _mode, dec, gains, dyn = bank[q]
+            st = step(states[q], dec, gains, dyn, u[k], ys[k], model)
+            states[q] = st
+            if st.k < 1:
+                continue
+            dinf, dtri, _ = trackers[q].advance()
+            r = residual(dec, st.xhat_star, u[k], ys[k])
+            rec = ResidualRecord.evaluate(q, st.k, r, dinf, dtri)
+            if rec.eliminated:  # a scale can only clear a flag: price it only then
+                scale = residual_scale(dec, st.xhat_star, u[k], ys[k])
+                rec = ResidualRecord.evaluate(q, st.k, r, dinf, dtri, scale)
+            last_record[q] = rec
+            if rec.eliminated:
+                eliminated_at[q] = k
+        active = [q for q in active if eliminated_at[q] is None]
+        active_sets.append(tuple(active))
+        records.append(dict(last_record))
+        snapshots.append(dict(states))
+        if k >= 1 and cfg.true_mode in active:
+            xb, db = set_estimates(states[cfg.true_mode])
+            if not xb.contains(xs[k], slack=1e-9 * (1.0 + xb.radius)):
+                violations += 1
+            d_prev = d_true[k - 1] if d_true.shape[1] else np.zeros(0)
+            if not db.contains(d_prev, slack=1e-9 * (1.0 + db.radius)):
+                violations += 1
+        if not active:
+            fault = (
+                f"all mode hypotheses eliminated at step {k}; the true mode "
+                "cannot trip its own threshold, so an assumption is violated "
+                "(mode family, noise bounds, or data consistency)"
+            )
+            fault_step = k
+            fused.append(None)
+            break
+        if k == 0:
+            fused.append(None)
+        else:
+            ests = {q: set_estimates(states[q]) for q in active}
+            fused.append(fuse(active, ests))
 
     return RunTrace(
         config=cfg,
         states=xs,
         outputs=ys,
-        inputs=u_true,
+        inputs=u,
         attack_values=d_true,
         active_sets=tuple(active_sets),
         records=tuple(records),

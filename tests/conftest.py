@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from smio import sim
 from smio.decomposition import (
     ConservativeRadiusWarning,
     DecompositionError,
@@ -16,33 +17,14 @@ from smio.decomposition import (
 from smio.model import SystemModel, enumerate_modes
 
 
-def benchmark_system() -> SystemModel:
-    """Five-state plant with one vulnerable actuator and four vulnerable sensors."""
-    A = np.array(
-        [
-            [0.5, 2.0, 0.0, 0.0, 0.0],
-            [0.0, 0.2, 1.0, 0.0, 1.0],
-            [0.0, 0.0, 0.3, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.7, 1.0],
-            [0.0, 0.0, 0.0, 0.0, 0.1],
-        ]
-    )
-    B = np.zeros((5, 1))
-    C = np.eye(5)
-    D = np.zeros((5, 1))
-    G = np.array([[1.0], [0.1], [0.1], [1.0], [0.0]])
-    H = np.vstack([np.eye(4), np.zeros((1, 4))])
-    return SystemModel(A=A, B=B, C=C, D=D, G=G, H=H, eta_w=0.02, eta_v=1e-4, delta_x0=0.5)
-
-
 @pytest.fixture(scope="session")
 def benchmark_model() -> SystemModel:
-    return benchmark_system()
+    return sim.benchmark_model()
 
 
 @pytest.fixture(scope="session")
 def benchmark_modes(benchmark_model):
-    return enumerate_modes(1, 4, 4, benchmark_model.G, benchmark_model.H)
+    return sim.benchmark_modes(benchmark_model)
 
 
 def random_instance(rng, n_max=4, l_max=4, require_modes=1):

@@ -62,7 +62,7 @@ from smio.modeguard import (
 from smio.observer import init_observer, step
 from smio.sim import ScenarioConfig, run_pipeline
 
-from conftest import benchmark_system, random_instance
+from conftest import random_instance
 from oracles import brute_force_vertex_max, hypercube_vertex_norm, weighted_abs_row_sum
 from test_modeguard import _small_sensor_pair, _stack_noise
 
@@ -143,8 +143,8 @@ def random_campaign():
 
 
 @pytest.fixture(scope="module")
-def bench_bank():
-    model = benchmark_system()
+def bench_bank(benchmark_model):
+    model = benchmark_model
     bank = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConservativeRadiusWarning)

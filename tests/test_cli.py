@@ -274,6 +274,57 @@ def test_inconsistent_model_rejected(tmp_path, capsys):
     assert cli.main(["simulate", "--config", path, "--out", "x.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "where",
+    ["model.A", "model.C", "attack.values", "scenario.x0", "scenario.xhat0",
+     "scenario.known_input"],
+)
+def test_non_finite_config_values_rejected(tmp_path, capsys, where):
+    cfg = with_constant_attack(pair_config())
+    if where == "model.A":
+        cfg["model"]["A"][0][1] = math.nan
+    elif where == "model.C":
+        cfg["model"]["C"][1][1] = math.inf
+    elif where == "attack.values":
+        cfg["attack"]["values"][7] = [math.nan]
+    elif where == "scenario.x0":
+        cfg["scenario"]["x0"] = [0.0, -math.inf]
+    elif where == "scenario.xhat0":
+        cfg["scenario"]["xhat0"] = [math.nan, 0.0]
+    else:
+        cfg["scenario"]["known_input"] = [[0.0]] * 20 + [[math.inf]] + [[0.0]] * 10
+    path = write_config(tmp_path, cfg)  # json writes NaN / Infinity literals
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err
+    if where.startswith("model."):
+        assert cli.main(["analyze", "--config", path]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def test_enum_budget_above_cap_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, pair_config())
+    out = str(tmp_path / "x.csv")
+    assert cli.main(
+        ["simulate", "--config", path, "--out", out, "--horizon", "1", "--enum-budget", "70"]
+    ) == 2
+    assert "enum_budget must be at most 20" in capsys.readouterr().err
+
+    cfg = pair_config()
+    cfg["tuning"] = {"enum_budget": 70}
+    path = write_config(tmp_path, cfg, "tuned.json")
+    assert cli.main(["simulate", "--config", path, "--out", out, "--horizon", "1"]) == 2
+    assert "enum_budget" in capsys.readouterr().err
+
+
+def test_non_numeric_trajectory_bound_rejected_by_simulate(tmp_path, capsys):
+    cfg = pair_config()
+    cfg["tuning"] = {"R_x": "big", "R_y": 1.0}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "tuning.R_x" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1
@@ -403,6 +454,34 @@ def test_analyze_infinite_ratio_serialized_as_string(tmp_path):
     assert matched and all(p["threshold_ratio"] == "inf" for p in matched)
     assert all(p["condition_i"] is False for p in matched)
     assert report["certified"] is True  # condition (ii) still does the work
+
+
+def test_analyze_and_simulate_exclude_the_same_hypotheses(tmp_path):
+    # one output, two actuators attacked one at a time: the hypothesis whose
+    # attack the output cannot see is excluded by both commands alike
+    cfg = {
+        "model": {
+            "A": [[0.5, 0.0], [0.0, 0.4]],
+            "B": [[0.0], [0.0]],
+            "C": [[1.0, 0.0]],
+            "D": [[0.0]],
+            "G": [[1.0, 0.0], [0.0, 1.0]],
+            "H": [[]],
+            "eta_w": 0.01,
+            "eta_v": 0.001,
+            "delta_x0": 0.1,
+        },
+        "modes": {"t_a": 2, "t_s": 0, "rho": 1},
+        "scenario": {"true_mode": 1, "horizon": 10, "seed": 0},
+    }
+    path = write_config(tmp_path, cfg)
+    report_path = tmp_path / "report.json"
+    cli.main(["analyze", "--config", path, "--out", str(report_path)])
+    out = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+    analyzed = json.loads(report_path.read_text())["excluded"]
+    simulated = json.loads(out.with_suffix(".summary.json").read_text())["excluded"]
+    assert analyzed and analyzed == simulated
 
 
 # --------------------------------------------------------------- tuning knobs

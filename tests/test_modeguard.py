@@ -29,7 +29,7 @@ from smio.modeguard import (
 )
 from smio.observer import SetEstimate, init_observer, step
 
-from conftest import benchmark_system, random_instance
+from conftest import random_instance
 from oracles import (
     brute_force_vertex_max,
     hypercube_vertex_norm,
@@ -337,8 +337,8 @@ def test_tri_limit_divergence_error(benchmark_model, benchmark_modes):
 # -------------------------------------------------------------- vertex norms
 
 
-def test_eta_t_benchmark_initial_level():
-    sys = benchmark_system()
+def test_eta_t_benchmark_initial_level(benchmark_model):
+    sys = benchmark_model
     assert eta_t(0, 5, 5, sys.delta_x0, sys.eta_w, sys.eta_v) == pytest.approx(
         1.1180340, abs=1e-6
     )
