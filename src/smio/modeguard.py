@@ -71,6 +71,14 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
+def _stacked_norm2(mats: list[np.ndarray]) -> list[float]:
+    """:func:`_norm2` of each of the equal-shape ``mats``, in one call."""
+    stack = np.stack(mats)
+    if not stack.size:
+        return [0.0] * len(mats)
+    return np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+
+
 # --------------------------------------------------------------------- types
 
 
@@ -229,13 +237,22 @@ def residual_conditioned(
 class ThresholdTracker:
     """Incrementally maintained residual-threshold state for one mode.
 
-    One matrix multiply per step keeps the row family C2*Abar*Ae^j, its
-    running norm sums, and (while k stays at or below ``k_inf_cutoff``) the
-    cached blocks needed to assemble the stacked residual map.  The
+    The tracker keeps the row family C2*Abar*Ae^j, the 2-norms of each row
+    and of its products with Bew, Bev1 and Mv = Bev1 + Ae*Bev2, running
+    sums of the Bew and Mv product norms, and (for j up to
+    ``k_inf_cutoff``) the cached blocks needed to assemble the stacked
+    residual map.  None of this depends on the measurements, so levels are
+    computed ahead of the current level ``k`` in blocks whose size doubles
+    up to a fixed cap: each block takes each family's norms in one stacked
+    2-norm call, which costs far less than one call per matrix and gives
+    the same values.  The
     :func:`build_stacked` / :func:`threshold_tri` functions are thin
     stateless wrappers over a throwaway tracker, so there is exactly one
     definition of the blocks in the package.
     """
+
+    # Largest block of levels computed at once; bounds the temporary stacks.
+    _BLOCK_CAP = 256
 
     def __init__(
         self,
@@ -271,7 +288,9 @@ class ThresholdTracker:
         self._nv0_at_k1 = _norm2(self._v0_at_k1)
         self._nv_prev = _norm2(self._v_prev)
         self._nv_last = _norm2(self._v_last)
-        # per-power state: rows[j] = C2 Abar Ae^j, plus cached products/norms
+        # per-power state, one entry per computed level j (rows[j] =
+        # C2 Abar Ae^j); the computed levels run ahead of k
+        self._block = 1  # size of the next block of levels
         self._last_row: np.ndarray | None = None
         self._rows: list[np.ndarray] = []
         self._wprod: list[np.ndarray] = []
@@ -284,26 +303,40 @@ class ThresholdTracker:
 
     def extend(self, levels: int = 1) -> None:
         """Move ``levels`` steps ahead, growing the row family C2*Abar*Ae^j
-        and its norm sums, without evaluating any threshold."""
-        for _ in range(int(levels)):
-            j = self.k
-            row = self._C2A if j == 0 else self._last_row @ self._Ae
-            self._last_row = row
-            wp = row @ self._Bew
-            bp = row @ self._Bev1
-            mp = row @ self._Mv
-            self._row_norm.append(_norm2(row))
-            self._bev1_norm.append(_norm2(bp))
-            prev_w = self._cum_w[-1] if self._cum_w else 0.0
-            prev_mv = self._cum_mv[-1] if self._cum_mv else 0.0
-            self._cum_w.append(prev_w + _norm2(wp))
-            self._cum_mv.append(prev_mv + _norm2(mp))
-            if j <= self.k_inf_cutoff:
-                self._rows.append(row)
-                self._wprod.append(wp)
-                self._bprod.append(bp)
-                self._mvprod.append(mp)
-            self.k += 1
+        and its norm sums a block at a time as far as the new level needs,
+        without evaluating any threshold."""
+        self.k += max(int(levels), 0)
+        while len(self._row_norm) < self.k:
+            self._compute_block()
+
+    def _compute_block(self) -> None:
+        j0 = len(self._row_norm)
+        size = self._block
+        self._block = min(2 * size, self._BLOCK_CAP)
+        row = self._last_row
+        rows, wprod, bprod, mvprod = [], [], [], []
+        for j in range(j0, j0 + size):
+            row = self._C2A if j == 0 else row @ self._Ae
+            rows.append(row)
+            wprod.append(row @ self._Bew)
+            bprod.append(row @ self._Bev1)
+            mvprod.append(row @ self._Mv)
+        self._last_row = row
+        self._row_norm += _stacked_norm2(rows)
+        self._bev1_norm += _stacked_norm2(bprod)
+        prev_w = self._cum_w[-1] if self._cum_w else 0.0
+        prev_mv = self._cum_mv[-1] if self._cum_mv else 0.0
+        for nw, nmv in zip(_stacked_norm2(wprod), _stacked_norm2(mvprod)):
+            prev_w += nw
+            prev_mv += nmv
+            self._cum_w.append(prev_w)
+            self._cum_mv.append(prev_mv)
+        # the levels j <= k_inf_cutoff also feed stacked()
+        keep = min(max(self.k_inf_cutoff + 1 - j0, 0), size)
+        self._rows += rows[:keep]
+        self._wprod += wprod[:keep]
+        self._bprod += bprod[:keep]
+        self._mvprod += mvprod[:keep]
 
     def advance(self) -> tuple[float | None, float, float]:
         """Move to the next step and return (delta_inf, delta_tri, delta_hat)."""

@@ -336,8 +336,9 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         active_sets.append(tuple(active))
         records.append(dict(last_record))
         snapshots.append(dict(states))
-        if k >= 1 and cfg.true_mode in active:
-            xb, db = set_estimates(states[cfg.true_mode])
+        ests = {q: set_estimates(states[q]) for q in active} if k >= 1 else {}
+        if cfg.true_mode in ests:
+            xb, db = ests[cfg.true_mode]
             if not xb.contains(xs[k], slack=1e-9 * (1.0 + xb.radius)):
                 violations += 1
             d_prev = d_true[k - 1] if d_true.shape[1] else np.zeros(0)
@@ -352,11 +353,7 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
             fault_step = k
             fused.append(None)
             break
-        if k == 0:
-            fused.append(None)
-        else:
-            ests = {q: set_estimates(states[q]) for q in active}
-            fused.append(fuse(active, ests))
+        fused.append(fuse(active, ests) if ests else None)
 
     return RunTrace(
         config=cfg,

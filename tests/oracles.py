@@ -2,9 +2,10 @@
 
 Everything in this file is deliberately written the slow, obvious way and
 imports nothing from ``smio``: brute-force vertex enumeration, fixed-point
-Riccati iteration, symbolic invariant zeros, and a direct (matrix_power)
-assembly of the stacked residual map.  These were written and frozen before
-the library modules; library code must agree with them, never the other way
+Riccati iteration, symbolic invariant zeros, a direct (matrix_power)
+assembly of the stacked residual map, and a one-level-at-a-time replay of
+the threshold power sequence.  These were written and frozen before the
+library modules; library code must agree with them, never the other way
 around.
 """
 
@@ -161,3 +162,81 @@ def hypercube_vertex_norm(n, l, k, delta_x0, eta_w, eta_v):
 def weighted_abs_row_sum(row, bounds):
     """Exact box maximum of |a . t| for a single row: sum |a_j| b_j."""
     return float(np.sum(np.abs(np.asarray(row, dtype=float)) * np.asarray(bounds, dtype=float)))
+
+
+class PerLevelThresholds:
+    """Triangle thresholds and stacked maps, one level per call of
+    :meth:`advance`, the slow way: ``row = row @ Ae`` for each power, one
+    2-D ``np.linalg.norm(M, 2)`` per block, and Python running sums.
+
+    :meth:`advance` returns ``(A_k, bounds, delta_tri)`` for the next level
+    k; ``A_k`` and ``bounds`` are None past ``k_inf_cutoff``.  Every
+    product, sum and block is taken in the order the threshold definitions
+    give, so a library that computes the same quantities in batches must
+    match these values exactly, not approximately.
+    """
+
+    def __init__(self, C2, T2, Abar, Ae, Bw_star, Bv1_star, Bv2_star,
+                 Bew, Bev1, Bev2, delta_x0, eta_w, eta_v, k_inf_cutoff):
+        self.Ae, self.Bew, self.Bev1 = Ae, Bew, Bev1
+        self.Mv = Bev1 + Ae @ Bev2
+        self.C2A = C2 @ Abar
+        self.n, self.l = Abar.shape[0], T2.shape[1]
+        self.delta_x0, self.eta_w, self.eta_v = delta_x0, eta_w, eta_v
+        self.k_inf_cutoff = k_inf_cutoff
+        self.w_last = C2 @ Bw_star
+        self.v0_at_k1 = C2 @ Bv1_star
+        self.v_prev = C2 @ (Bv1_star + Abar @ Bev2)
+        self.v_last = C2 @ Bv2_star + T2
+        self.k = 0
+        self.row = None
+        self.rows, self.wprod, self.bprod, self.mvprod = [], [], [], []
+        self.row_norm, self.bev1_norm, self.cum_w, self.cum_mv = [], [], [], []
+
+    @staticmethod
+    def norm2(M):
+        return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+    def advance(self):
+        j = self.k
+        self.row = self.C2A if j == 0 else self.row @ self.Ae
+        wp, bp, mp = self.row @ self.Bew, self.row @ self.Bev1, self.row @ self.Mv
+        self.rows.append(self.row)
+        self.wprod.append(wp)
+        self.bprod.append(bp)
+        self.mvprod.append(mp)
+        self.row_norm.append(self.norm2(self.row))
+        self.bev1_norm.append(self.norm2(bp))
+        self.cum_w.append((self.cum_w[-1] if self.cum_w else 0.0) + self.norm2(wp))
+        self.cum_mv.append((self.cum_mv[-1] if self.cum_mv else 0.0) + self.norm2(mp))
+        self.k = k = j + 1
+
+        state_term = self.row_norm[k - 1]
+        w_term = (self.cum_w[k - 2] if k >= 2 else 0.0) + self.norm2(self.w_last)
+        if k == 1:
+            v_term = self.norm2(self.v0_at_k1) + self.norm2(self.v_last)
+        else:
+            v_term = (
+                self.bev1_norm[k - 2]
+                + (self.cum_mv[k - 3] if k >= 3 else 0.0)
+                + self.norm2(self.v_prev)
+                + self.norm2(self.v_last)
+            )
+        delta_tri = self.delta_x0 * state_term + self.eta_w * w_term + self.eta_v * v_term
+        if k > self.k_inf_cutoff:
+            return None, None, delta_tri
+
+        if k == 1:
+            blocks = [self.rows[0], self.w_last, self.v0_at_k1, self.v_last]
+        else:
+            blocks = [self.rows[k - 1]]
+            blocks += [self.wprod[k - 2 - i] for i in range(k - 1)]
+            blocks += [self.w_last, self.bprod[k - 2]]
+            blocks += [self.mvprod[k - 2 - i] for i in range(1, k - 1)]
+            blocks += [self.v_prev, self.v_last]
+        bounds = np.array(
+            [self.delta_x0] * self.n
+            + [self.eta_w] * (self.n * k)
+            + [self.eta_v] * (self.l * (k + 1))
+        )
+        return np.hstack(blocks), bounds, delta_tri

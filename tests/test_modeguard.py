@@ -31,6 +31,7 @@ from smio.observer import SetEstimate, init_observer, step
 
 from conftest import random_instance
 from oracles import (
+    PerLevelThresholds,
     brute_force_vertex_max,
     hypercube_vertex_norm,
     scalar_tri_series_limit,
@@ -500,6 +501,119 @@ def test_stacked_and_tri_reject_level_zero():
     tracker = ThresholdTracker(dyn, dec)
     with pytest.raises(ValueError):
         tracker.threshold_tri()
+
+
+def _per_level(model, dec, dyn, k_inf_cutoff):
+    return PerLevelThresholds(
+        dec.C2, dec.T2, dyn.Abar, dyn.Ae, dyn.Bew_star, dyn.Bev1_star, dyn.Bev2_star,
+        dyn.Bew, dyn.Bev1, dyn.Bev2,
+        model.delta_x0, model.eta_w, model.eta_v, k_inf_cutoff,
+    )
+
+
+def _reference_advance(ref):
+    """The reference's (delta_inf, delta_tri, delta_hat) at its next level,
+    and its stacked map there (None past the cutoff)."""
+    A, bounds, dtri = ref.advance()
+    if A is None:
+        return (None, dtri, dtri), None
+    sm = StackedResidualModel(k=ref.k, n=ref.n, l=ref.l, Aq_k=A, bounds=bounds)
+    dinf = threshold_inf(sm)
+    return (dinf, dtri, min(dinf, dtri)), A
+
+
+def _tracker(model, dec, dyn, k_inf_cutoff):
+    return ThresholdTracker(
+        dyn, dec,
+        eta_w=model.eta_w, eta_v=model.eta_v, delta_x0=model.delta_x0,
+        k_inf_cutoff=k_inf_cutoff,
+    )
+
+
+def test_tracker_equals_per_level_reference_exactly():
+    """Batched levels give the very floats of the one-level-at-a-time
+    definition, for k = 1..600 (several block edges) on 40 random banks."""
+    dims = set()
+    for seed in range(40):
+        model, bank = random_instance(np.random.default_rng(1000 + seed))
+        for mode, dec, _gains, dyn in bank:
+            dims.add(dec.residual_dim)
+            tracker = _tracker(model, dec, dyn, 25)
+            ref = _per_level(model, dec, dyn, 25)
+            for k in range(1, 601):
+                got = tracker.advance()
+                assert got == _reference_advance(ref)[0], (seed, mode.id, k)
+    assert {0, 1} <= dims and max(dims) >= 2
+
+
+@pytest.mark.parametrize("cutoff", [0, ThresholdTracker._BLOCK_CAP + 1, 1000])
+def test_tracker_extend_then_advance_in_mixed_order(cutoff):
+    cap = ThresholdTracker._BLOCK_CAP
+    model, bank = random_instance(np.random.default_rng(91))
+    _mode, dec, _gains, dyn = bank[0]
+    targets = [1, 2, 5, 6, 127, 128, cap, cap + 1, cap + 2, 300, 2 * cap + 1]
+    ref = _per_level(model, dec, dyn, cutoff)
+    expected, maps = {}, {}
+    for k in range(1, targets[-1] + 1):
+        expected[k], A = _reference_advance(ref)
+        if k in targets:
+            maps[k] = A
+    tracker = _tracker(model, dec, dyn, cutoff)
+    for k in targets:
+        tracker.extend(k - 1 - tracker.k)
+        assert tracker.k == k - 1
+        assert tracker.advance() == expected[k], k
+        assert tracker.k == k
+        assert tracker.threshold_tri() == expected[k][1]
+        if k <= cutoff:
+            assert np.array_equal(tracker.stacked().Aq_k, maps[k])
+        else:
+            with pytest.raises(ValueError, match="k_inf_cutoff"):
+                tracker.stacked()
+
+
+def test_stateless_wrappers_across_block_edges():
+    cap = ThresholdTracker._BLOCK_CAP
+    levels = {1, 2, cap, cap + 1, 2 * cap + 1}
+    model, bank = random_instance(np.random.default_rng(14))
+    _mode, dec, _gains, dyn = bank[0]
+    ref = _per_level(model, dec, dyn, 2 * cap + 1)
+    for k in range(1, 2 * cap + 2):
+        A, bounds, dtri = ref.advance()
+        if k not in levels:
+            continue
+        sm = build_stacked(
+            dyn, dec, k, delta_x0=model.delta_x0, eta_w=model.eta_w, eta_v=model.eta_v
+        )
+        assert np.array_equal(sm.Aq_k, A) and np.array_equal(sm.bounds, bounds)
+        assert threshold_tri(dyn, dec, k, model.eta_w, model.eta_v, model.delta_x0) == dtri
+
+
+def test_tracker_empty_residual_map_gives_zero_norms():
+    from smio.model import SystemModel
+
+    # both sensors attacked: no attack-free output direction is left
+    model = SystemModel(
+        A=np.diag([0.5, 0.2]),
+        B=np.zeros((2, 1)),
+        C=np.eye(2),
+        D=np.zeros((2, 1)),
+        G=np.zeros((2, 0)),
+        H=np.eye(2),
+        eta_w=0.01,
+        eta_v=0.001,
+        delta_x0=0.2,
+    )
+    (mode,) = enumerate_modes(0, 2, 2, model.G, model.H)
+    dec = decompose_mode(model, mode)
+    dyn = error_dynamics(dec, synthesize_gains(dec, model), model)
+    assert dec.residual_dim == 0
+    cap = ThresholdTracker._BLOCK_CAP
+    tracker = _tracker(model, dec, dyn, 25)
+    for k in range(1, 2 * cap + 2):
+        assert tracker.advance() == ((0.0 if k <= 25 else None), 0.0, 0.0)
+    assert threshold_tri(dyn, dec, cap + 1, model.eta_w, model.eta_v, model.delta_x0) == 0.0
+    assert build_stacked(dyn, dec, cap + 1).Aq_k.shape[0] == 0
 
 
 # ------------------------------------------------------------- detectability
