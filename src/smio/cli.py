@@ -16,16 +16,16 @@ Three subcommands:
     attack, written to a default location.
 
 Exit codes are stable: 0 ok; 1 usage; 2 bad config; 3 every mode hypothesis
-eliminated mid-run; 4 detectability not certified.  Floats in the CSV are
-printed with 17 significant digits so a parsed trace reproduces the recorded
-thresholds and elimination flags bit-for-bit, and the same config and seed
-always produce byte-identical files.
+eliminated mid-run; 4 detectability not certified; 5 a measurement became
+non-finite mid-run (the plant left the floating-point range).  Floats in
+the CSV are printed with 17 significant digits so a parsed trace
+reproduces the recorded thresholds and elimination flags bit-for-bit, and
+the same config and seed always produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -45,6 +45,7 @@ from .model import (
 from .modeguard import detectability_report
 from .sim import (
     ENUM_BUDGET_MAX,
+    FAULT_NONFINITE,
     RunTrace,
     ScenarioConfig,
     SimulationError,
@@ -70,6 +71,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_FAULT = 3
 EXIT_NOT_CERTIFIED = 4
+EXIT_NONFINITE = 5
 
 
 class ConfigError(ValueError):
@@ -282,16 +284,23 @@ def load_scenario(
 # ----------------------------------------------------------------- trace CSV
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def trace_header(n: int) -> list[str]:
     return (
         ["k", "mode_id", "r_norm", "delta_inf", "delta_tri", "delta_hat", "eliminated"]
         + [f"xhat_{i + 1}" for i in range(n)]
         + ["delta_x", "delta_d", "active_count"]
     )
+
+
+def _row_format(live: bool, has_inf: bool, has_dd: bool, n: int) -> str:
+    """One %-format for a mode row of :func:`write_trace_csv`; an empty
+    field consumes its value with ``%.0s``."""
+    num, empty = "%.17g", "%.0s"
+    fields = ["%d", "%d"]
+    fields += [num if live else empty, num if has_inf else empty]
+    fields += [num if live else empty] * 2
+    fields += ["%d"] + [num] * (n + 1) + [num if has_dd else empty, "%d"]
+    return ",".join(fields) + "\r\n"
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
@@ -302,39 +311,46 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     estimate columns) so every stream spans the recorded horizon.  The fused
     row carries only the surviving-mode count — the global estimate is the
     union of the per-mode balls already present in the same step's rows.
+    Rows end in CRLF, as :mod:`csv` writes them.
     """
     n = trace.config.model.n
-    mode_ids = sorted(trace.snapshots[0])
+    steps, modes = trace.live.shape
+    k = np.arange(steps)
+    active = [len(a) for a in trace.active_sets]
+    elim_at = np.array([trace.eliminated_at[q] or steps for q in trace.mode_ids])
+
+    def column(values) -> np.ndarray:
+        return np.broadcast_to(np.asarray(values, dtype=float), (steps, modes))[:, :, None]
+
+    # every field of every mode row as one float table, (steps, modes, fields)
+    table = np.concatenate(
+        [
+            column(k[:, None]),
+            column(trace.mode_ids),
+            column(trace.r_norm),
+            column(trace.delta_inf),
+            column(trace.delta_tri),
+            column(trace.delta_hat),
+            column(k[:, None] >= elim_at),
+            trace.xhat,
+            column(trace.delta_x),
+            column(trace.delta_d),
+            column(np.array(active)[:, None]),
+        ],
+        axis=2,
+    ).tolist()
+    # which fields a row fills: residual test ran, delta_inf exists, delta_d exists
+    has_inf = trace.live & (k <= trace.config.k_inf_cutoff)[:, None]
+    key = (trace.live * 4 + has_inf * 2 + (k >= 1)[:, None]).tolist()
+    formats = [_row_format(bool(c & 4), bool(c & 2), bool(c & 1), n) for c in range(8)]
+    fused = "%d,fused" + "," * (n + 8) + "%d\r\n"
+    lines = [",".join(trace_header(n)) + "\r\n"]
+    for step in range(steps):
+        rows, codes = table[step], key[step]
+        lines += [formats[codes[i]] % tuple(rows[i]) for i in range(modes)]
+        lines.append(fused % (step, active[step]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(n))
-        for k in range(len(trace.active_sets)):
-            active = trace.active_sets[k]
-            for q in mode_ids:
-                rec = trace.records[k].get(q)
-                snap = trace.snapshots[k][q]
-                live = rec is not None and rec.k == k
-                row = [str(k), str(q)]
-                if live:
-                    row += [
-                        _fmt(rec.r_norm),
-                        "" if rec.delta_inf is None else _fmt(rec.delta_inf),
-                        _fmt(rec.delta_tri),
-                        _fmt(rec.delta_hat),
-                    ]
-                else:
-                    row += ["", "", "", ""]
-                row.append("0" if q in active else "1")
-                row += [_fmt(v) for v in snap.xhat_kk]
-                row.append(_fmt(snap.delta_x))
-                row.append("" if snap.delta_d is None else _fmt(snap.delta_d))
-                row.append(str(len(active)))
-                writer.writerow(row)
-            fused = ["" for _ in range(7 + n + 2)]
-            fused[0] = str(k)
-            fused[1] = "fused"
-            fused.append(str(len(active)))
-            writer.writerow(fused)
+        fh.write("".join(lines))
 
 
 def summary_document(trace: RunTrace) -> dict:
@@ -376,7 +392,7 @@ def _run_and_write(cfg: ScenarioConfig, out) -> int:
     print(msg)
     if trace.fault is not None:
         print(f"fault: {trace.fault}", file=sys.stderr)
-        return EXIT_FAULT
+        return EXIT_NONFINITE if trace.fault_kind == FAULT_NONFINITE else EXIT_FAULT
     return EXIT_OK
 
 

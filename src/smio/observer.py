@@ -5,10 +5,14 @@ At every step the observer (for hypothesis q): inverts the output-visible
 attack component of the *previous* measurement, propagates the state one
 step, inverts the state-side attack component using the *current*
 measurement, and finally applies an innovation correction on the
-attack-free residual channel.  Because the update mixes two adjacent time
-indices, the observer caches the last (u, y) pair internally — callers
-feed one pair per step, and the very first call only registers the time-0
-pair without advancing the estimate.
+attack-free residual channel.  All four stages are linear, so one step is
+an affine map of the previous estimate and the stacked data
+``z_k = [u_{k-1}; y_{k-1}; u_k; y_k]``; :func:`observer_maps` composes the
+stages once per mode, and both the one-step API (:func:`step`) and the
+whole-horizon run (:func:`run_observer`) apply those same maps.  Because
+the update mixes two adjacent time indices, :func:`step` caches the last
+(u, y) pair internally — callers feed one pair per step, and the very
+first call only registers the time-0 pair without advancing the estimate.
 
 Alongside the centroids, two set radii are propagated so that (when q is
 the true mode and the noise respects its bounds) the true state lies in
@@ -16,7 +20,9 @@ the true mode and the noise respects its bounds) the true state lies in
 ``||d - dhat_prev|| <= delta_d`` at every step.  The radius recursion is
 the norm-triangle bound driven by the closed error map: it contracts iff
 ``theta = ||Ae||_2 < 1`` (see ConservativeRadiusWarning in the
-decomposition module for the expansive-but-stable case).
+decomposition module for the expansive-but-stable case).  The radii never
+depend on the data, so :func:`radius_sequence` runs them for a whole
+horizon with the same scalar recursion :func:`step` uses.
 """
 
 from __future__ import annotations
@@ -30,11 +36,16 @@ from .model import SystemModel
 
 __all__ = [
     "ObserverState",
+    "ObserverMaps",
     "SetEstimate",
     "ObserverError",
     "NotReadyError",
     "init_observer",
+    "observer_maps",
     "step",
+    "HorizonEstimates",
+    "run_observer",
+    "radius_sequence",
     "set_estimates",
 ]
 
@@ -107,10 +118,87 @@ def init_observer(xhat0, delta_x0: float) -> ObserverState:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class ObserverMaps:
+    """One observer step of one mode as affine maps.
+
+    With ``x = xhat_{k-1}`` and ``z = [u_{k-1}; y_{k-1}; u_k; y_k]``, the
+    step produces ``xhat_pred = Phi_pred x + K_pred z``, ``xhat_star =
+    Phi_star x + K_star z``, ``xhat_kk = Phi x + K z`` and ``dhat_prev =
+    Phi_d x + K_d z``.  ``Phi`` is the corrected error map
+    ``(I - Ltilde C2)(I - G2 M2 C2)(A - G1 M1 C1)``.
+    """
+
+    Phi_pred: np.ndarray = field(repr=False)
+    K_pred: np.ndarray = field(repr=False)
+    Phi_star: np.ndarray = field(repr=False)
+    K_star: np.ndarray = field(repr=False)
+    Phi: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
+    Phi_d: np.ndarray = field(repr=False)
+    K_d: np.ndarray = field(repr=False)
+
+
+def observer_maps(
+    dec: ModeDecomposition, gains: ObserverGains, model: SystemModel
+) -> ObserverMaps:
+    """Compose the four stages of one observer step into affine maps."""
+    n, m, l = model.n, model.m, model.l
+    M1, M2, Lt = gains.M1, gains.M2, gains.Ltilde
+
+    def z_cols(u_prev, y_prev, u, y):
+        # one block per entry of z; None is a zero block
+        rows = next(b.shape[0] for b in (u_prev, y_prev, u, y) if b is not None)
+        return np.hstack(
+            [
+                np.zeros((rows, w)) if b is None else b
+                for b, w in ((u_prev, m), (y_prev, l), (u, m), (y, l))
+            ]
+        )
+
+    # d1 = M1 (T1 y_{k-1} - C1 x - D1 u_{k-1}): output-visible attack part
+    d1_x = -M1 @ dec.C1
+    d1_z = z_cols(-M1 @ dec.D1, M1 @ dec.T1, None, None)
+    # time update
+    pred_x = model.A - dec.G1 @ M1 @ dec.C1
+    pred_z = z_cols(model.B, None, None, None) + dec.G1 @ d1_z
+    # d2 = M2 (T2 y_k - C2 xhat_pred - D2 u_k): state-side attack part
+    d2_x = -M2 @ dec.C2 @ pred_x
+    d2_z = z_cols(None, None, -M2 @ dec.D2, M2 @ dec.T2) - M2 @ dec.C2 @ pred_z
+    # xhat_star = xhat_pred + G2 d2
+    star_x = (np.eye(n) - dec.G2 @ M2 @ dec.C2) @ pred_x
+    star_z = pred_z + dec.G2 @ d2_z
+    # innovation correction on the attack-free residual channel
+    IL = np.eye(n) - Lt @ dec.C2
+    return ObserverMaps(
+        Phi_pred=pred_x,
+        K_pred=pred_z,
+        Phi_star=star_x,
+        K_star=star_z,
+        Phi=IL @ star_x,
+        K=IL @ star_z + z_cols(None, None, -Lt @ dec.D2, Lt @ dec.T2),
+        Phi_d=dec.V1 @ d1_x + dec.V2 @ d2_x,
+        K_d=dec.V1 @ d1_z + dec.V2 @ d2_z,
+    )
+
+
 def _times(coeff: float, radius: float) -> float:
     """``coeff * radius``, where an exactly-zero coefficient contributes 0
     even after the radius has overflowed to inf (``0 * inf`` is NaN)."""
     return coeff * radius if coeff else 0.0
+
+
+def _radii(
+    ed: ErrorDynamics, eta_w: float, eta_v: float, delta_prev: float
+) -> tuple[float, float]:
+    """One step of the radius recursion: ``(delta_x, delta_d)`` from the
+    previous state radius."""
+    delta_pred = _times(ed.a_pred, delta_prev) + ed.v_pred * eta_v + eta_w
+    delta_x = _times(ed.theta, delta_prev) + ed.w_gain * eta_w + ed.v_gain * eta_v
+    delta_d = _times(ed.v1m1, _times(ed.c1, delta_prev) + eta_v) + _times(
+        ed.v2m2, _times(ed.c2, delta_pred) + eta_v
+    )
+    return delta_x, delta_d
 
 
 def step(
@@ -150,41 +238,75 @@ def step(
             y_prev=y,
         )
 
-    u_prev, y_prev = state.u_prev, state.y_prev
-
-    # unknown-input estimation, output-visible part (previous step)
-    z1_prev = dec.T1 @ y_prev
-    d1 = gains.M1 @ (z1_prev - dec.C1 @ state.xhat_kk - dec.D1 @ u_prev)
-    # time update
-    xpred = model.A @ state.xhat_kk + model.B @ u_prev + dec.G1 @ d1
-    # unknown-input estimation, state-side part (needs the current output)
-    z2 = dec.T2 @ y
-    d2 = gains.M2 @ (z2 - dec.C2 @ xpred - dec.D2 @ u)
-    xstar = xpred + dec.G2 @ d2
-    # measurement update on the attack-free residual channel
-    xkk = xstar + gains.Ltilde @ (z2 - dec.C2 @ xstar - dec.D2 @ u)
-    dhat = dec.V1 @ d1 + dec.V2 @ d2
-
-    ed = errdyn
-    eta_w, eta_v = model.eta_w, model.eta_v
-    delta_prev = state.delta_x
-    delta_pred = _times(ed.a_pred, delta_prev) + ed.v_pred * eta_v + eta_w
-    delta_x = _times(ed.theta, delta_prev) + ed.w_gain * eta_w + ed.v_gain * eta_v
-    delta_d = _times(ed.v1m1, _times(ed.c1, delta_prev) + eta_v) + _times(
-        ed.v2m2, _times(ed.c2, delta_pred) + eta_v
-    )
-
+    maps = observer_maps(dec, gains, model)
+    x = state.xhat_kk
+    z = np.concatenate([state.u_prev, state.y_prev, u, y])
+    delta_x, delta_d = _radii(errdyn, model.eta_w, model.eta_v, state.delta_x)
     return ObserverState(
-        xhat_kk=xkk,
-        xhat_pred=xpred,
-        xhat_star=xstar,
-        dhat_prev=dhat,
+        xhat_kk=maps.Phi @ x + maps.K @ z,
+        xhat_pred=maps.Phi_pred @ x + maps.K_pred @ z,
+        xhat_star=maps.Phi_star @ x + maps.K_star @ z,
+        dhat_prev=maps.Phi_d @ x + maps.K_d @ z,
         delta_x=delta_x,
         delta_d=delta_d,
         k=state.k + 1,
         u_prev=u,
         y_prev=y,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class HorizonEstimates:
+    """One observer's estimates at steps 0..N, one row per step, as
+    :func:`step` would produce them; row 0 holds the initial guess (and
+    NaN for the input estimate, which does not exist yet)."""
+
+    xhat_kk: np.ndarray = field(repr=False)
+    xhat_pred: np.ndarray = field(repr=False)
+    xhat_star: np.ndarray = field(repr=False)
+    dhat_prev: np.ndarray = field(repr=False)
+
+
+def run_observer(maps: ObserverMaps, xhat0, u: np.ndarray, y: np.ndarray) -> HorizonEstimates:
+    """Run one observer over the data rows ``u[0..N]``, ``y[0..N]``.
+
+    The data part of every step is one matrix product for the whole
+    horizon; only the ``Phi`` recursion is stepped.
+    """
+    steps = y.shape[0]
+    n = maps.Phi.shape[0]
+    Z = np.hstack([u[:-1], y[:-1], u[1:], y[1:]])  # row k-1 is z_k
+    drive = Z @ maps.K.T
+    xkk = np.empty((steps, n))
+    xkk[0] = np.asarray(xhat0, dtype=float).reshape(-1)
+    Phi = maps.Phi
+    for k in range(1, steps):
+        xkk[k] = Phi @ xkk[k - 1] + drive[k - 1]
+    xprev = xkk[:-1]
+    xpred = np.empty_like(xkk)
+    xstar = np.empty_like(xkk)
+    xpred[0] = xstar[0] = xkk[0]
+    xpred[1:] = xprev @ maps.Phi_pred.T + Z @ maps.K_pred.T
+    xstar[1:] = xprev @ maps.Phi_star.T + Z @ maps.K_star.T
+    dhat = np.full((steps, maps.Phi_d.shape[0]), np.nan)
+    dhat[1:] = xprev @ maps.Phi_d.T + Z @ maps.K_d.T
+    return HorizonEstimates(xhat_kk=xkk, xhat_pred=xpred, xhat_star=xstar, dhat_prev=dhat)
+
+
+def radius_sequence(
+    errdyn: ErrorDynamics, model: SystemModel, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(delta_x, delta_d)`` at steps 0..steps from the recursion
+    :func:`step` applies; ``delta_d[0]`` is NaN (no input estimate yet)."""
+    delta_x = np.empty(steps + 1)
+    delta_d = np.empty(steps + 1)
+    dx = delta_x[0] = float(model.delta_x0)
+    delta_d[0] = np.nan
+    eta_w, eta_v = model.eta_w, model.eta_v
+    for k in range(1, steps + 1):
+        dx, delta_d[k] = _radii(errdyn, eta_w, eta_v, dx)
+        delta_x[k] = dx
+    return delta_x, delta_d
 
 
 def set_estimates(state: ObserverState) -> tuple[SetEstimate, SetEstimate]:

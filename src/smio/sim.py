@@ -1,15 +1,22 @@
 """Closed-loop simulation of the attacked plant and the full estimation pipeline.
 
-Simulates the switched plant under one true mode, runs the whole observer
-bank step by step, applies the residual-threshold elimination test, fuses
-the survivors, and records everything in a replayable trace.  Noise is
-drawn uniformly from the 2-norm balls the bounds describe, so runs exercise
-the constraint set all the way to its boundary; every random draw is tied
-to one seed and a fixed stream order, which makes traces bit-reproducible.
+Simulates the switched plant under one true mode, then runs each observer
+of the bank over the whole horizon at once: the plant trajectory exists
+before the bank runs, each observer is a fixed affine recursion, its radii
+and thresholds do not depend on the data, and eliminating one hypothesis
+never changes another's estimates.  Per mode, the data drive of every step
+is one matrix product, the state recursion one n-by-n product per step,
+and the residuals one product; the threshold tracker is walked only up to
+the first step whose residual test eliminates the mode.  The run records
+everything in a replayable trace of arrays.  Noise is drawn uniformly from
+the 2-norm balls the bounds describe, so runs exercise the constraint set
+all the way to its boundary; every random draw is tied to one seed and a
+fixed stream order, which makes traces bit-reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,17 +38,26 @@ from .modeguard import (
     GlobalEstimate,
     ResidualRecord,
     ThresholdTracker,
+    eliminate,
     fuse,
-    residual,
     residual_scale,
 )
-from .observer import ObserverState, init_observer, set_estimates, step
+from .observer import (
+    HorizonEstimates,
+    ObserverState,
+    observer_maps,
+    radius_sequence,
+    run_observer,
+    set_estimates,
+)
 
 __all__ = [
     "SimulationError",
     "ScenarioConfig",
     "RunTrace",
     "ENUM_BUDGET_MAX",
+    "FAULT_ELIMINATED",
+    "FAULT_NONFINITE",
     "sample_bounded",
     "simulate_plant",
     "build_bank",
@@ -56,6 +72,10 @@ __all__ = [
 # Largest accepted ``enum_budget``: enumerating c columns and r residual rows
 # takes 2**(c-1) * (2c + r) * 8 bytes, ~9 MB at 16, ~180 MB at 20, 3.4 GB at 24.
 ENUM_BUDGET_MAX = 20
+
+# RunTrace.fault_kind values
+FAULT_ELIMINATED = "all_eliminated"
+FAULT_NONFINITE = "nonfinite_output"
 
 
 class SimulationError(ValueError):
@@ -160,13 +180,32 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """Complete record of one pipeline run.
+    """Complete record of one pipeline run, as arrays over the recorded steps.
 
-    Arrays cover the full horizon; the per-step lists stop early only when
-    the run aborted on an all-modes-eliminated fault, in which case
-    ``fault`` holds the diagnostic and ``fault_step`` the step it fired.
-    ``records``/``snapshots`` keep the last computed entry for eliminated
-    modes (their observers are frozen, not stepped).
+    ``states``, ``outputs``, ``inputs`` and ``attack_values`` cover the full
+    horizon.  The per-mode arrays cover the recorded steps ``0..K-1`` (first
+    axis) and the modes of ``mode_ids`` (second axis): ``xhat``,
+    ``xhat_pred`` and ``xhat_star`` are ``(K, Q, n)``, ``dhat`` is ``(K, Q,
+    rho)``, and ``delta_x``, ``delta_d``, ``r_norm``, ``delta_inf``,
+    ``delta_tri`` and ``delta_hat`` are ``(K, Q)``; ``residuals[i]`` is the
+    ``(K, r)`` residual array of mode ``mode_ids[i]``.  ``live`` marks the
+    steps at which a mode's residual test ran (steps 1 up to the step that
+    eliminated it); the residual and threshold entries are NaN elsewhere,
+    and so is ``delta_inf`` past ``k_inf_cutoff``.  An eliminated mode's
+    estimates and radii stay frozen at its eliminating step.  Every array
+    is read-only.
+
+    The recorded steps stop early only on a fault: ``fault`` holds the
+    diagnostic, ``fault_step`` the step and ``fault_kind`` which fault
+    (:data:`FAULT_ELIMINATED`: every mode eliminated at ``fault_step``,
+    which is the last recorded step; :data:`FAULT_NONFINITE`: the output at
+    ``fault_step`` is not finite, and the steps before it are recorded, or
+    step 0 alone if the first output is already not finite).
+
+    ``snapshots``, ``records`` and ``fused`` are per-step views of the
+    arrays as :class:`ObserverState`, :class:`ResidualRecord` and
+    :class:`GlobalEstimate` objects, built on first access.  An eliminated
+    mode's entry is the same object at every step from its elimination on.
     """
 
     config: ScenarioConfig
@@ -174,14 +213,25 @@ class RunTrace:
     outputs: np.ndarray = field(repr=False)
     inputs: np.ndarray = field(repr=False)
     attack_values: np.ndarray = field(repr=False)
-    active_sets: tuple[tuple[int, ...], ...]
-    records: tuple[dict[int, ResidualRecord], ...] = field(repr=False)
-    snapshots: tuple[dict[int, ObserverState], ...] = field(repr=False)
-    fused: tuple[GlobalEstimate | None, ...] = field(repr=False)
+    mode_ids: tuple[int, ...]
+    active_sets: tuple[tuple[int, ...], ...] = field(repr=False)
+    xhat: np.ndarray = field(repr=False)
+    xhat_pred: np.ndarray = field(repr=False)
+    xhat_star: np.ndarray = field(repr=False)
+    dhat: np.ndarray = field(repr=False)
+    delta_x: np.ndarray = field(repr=False)
+    delta_d: np.ndarray = field(repr=False)
+    residuals: tuple[np.ndarray, ...] = field(repr=False)
+    r_norm: np.ndarray = field(repr=False)
+    delta_inf: np.ndarray = field(repr=False)
+    delta_tri: np.ndarray = field(repr=False)
+    delta_hat: np.ndarray = field(repr=False)
+    live: np.ndarray = field(repr=False)
     eliminated_at: dict[int, int | None]
     excluded: dict[int, str]
     fault: str | None
     fault_step: int | None
+    fault_kind: str | None
     containment_violations: int
 
     @property
@@ -191,6 +241,87 @@ class RunTrace:
     @property
     def steps_recorded(self) -> int:
         return len(self.active_sets) - 1
+
+    def _last_step(self, q: int) -> int:
+        """The last step at which mode ``q``'s observer ran."""
+        k = self.eliminated_at[q]
+        return self.steps_recorded if k is None else k
+
+    @functools.cached_property
+    def snapshots(self) -> tuple[dict[int, ObserverState], ...]:
+        """Per step, each mode's observer state as :func:`observer.step`
+        leaves it after that step's (u, y) pair."""
+        per_mode = {}
+        for i, q in enumerate(self.mode_ids):
+            x0 = self.xhat[0, i]
+            states = [
+                ObserverState(
+                    xhat_kk=x0,
+                    xhat_pred=x0,
+                    xhat_star=x0,
+                    dhat_prev=None,
+                    delta_x=float(self.delta_x[0, i]),
+                    delta_d=None,
+                    k=0,
+                    u_prev=self.inputs[0],
+                    y_prev=self.outputs[0],
+                )
+            ]
+            states += [
+                ObserverState(
+                    xhat_kk=self.xhat[k, i],
+                    xhat_pred=self.xhat_pred[k, i],
+                    xhat_star=self.xhat_star[k, i],
+                    dhat_prev=self.dhat[k, i],
+                    delta_x=float(self.delta_x[k, i]),
+                    delta_d=float(self.delta_d[k, i]),
+                    k=k,
+                    u_prev=self.inputs[k],
+                    y_prev=self.outputs[k],
+                )
+                for k in range(1, self._last_step(q) + 1)
+            ]
+            per_mode[q] = states
+        return tuple(
+            {q: states[min(k, len(states) - 1)] for q, states in per_mode.items()}
+            for k in range(len(self.active_sets))
+        )
+
+    @functools.cached_property
+    def records(self) -> tuple[dict[int, ResidualRecord], ...]:
+        """Per step, each mode's latest residual test (none at step 0)."""
+        cutoff = self.config.k_inf_cutoff
+        per_mode = {}
+        for i, q in enumerate(self.mode_ids):
+            per_mode[q] = [None] + [
+                ResidualRecord(
+                    mode_id=q,
+                    k=k,
+                    r=self.residuals[i][k],
+                    r_norm=float(self.r_norm[k, i]),
+                    delta_inf=float(self.delta_inf[k, i]) if k <= cutoff else None,
+                    delta_tri=float(self.delta_tri[k, i]),
+                    delta_hat=float(self.delta_hat[k, i]),
+                    eliminated=k == self.eliminated_at[q],
+                )
+                for k in range(1, self._last_step(q) + 1)
+            ]
+        return ({},) + tuple(
+            {q: recs[min(k, len(recs) - 1)] for q, recs in per_mode.items()}
+            for k in range(1, len(self.active_sets))
+        )
+
+    @functools.cached_property
+    def fused(self) -> tuple[GlobalEstimate | None, ...]:
+        """Per step, the union of the survivors' balls (None at step 0 and
+        once every mode is eliminated)."""
+        out: list[GlobalEstimate | None] = [None]
+        for k in range(1, len(self.active_sets)):
+            active = self.active_sets[k]
+            snap = self.snapshots[k]
+            ests = {q: set_estimates(snap[q]) for q in active}
+            out.append(fuse(active, ests) if active else None)
+        return tuple(out)
 
 
 def sample_bounded(dim: int, eta: float, rng: np.random.Generator) -> np.ndarray:
@@ -274,6 +405,51 @@ def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, s
     return bank, excluded
 
 
+@dataclass(frozen=True, eq=False)
+class _ModeRun:
+    """One observer run over steps 0..N, tested up to its elimination.
+
+    The residual arrays hold steps 1..N, row ``k - 1`` for step ``k``."""
+
+    est: HorizonEstimates
+    delta_x: np.ndarray
+    delta_d: np.ndarray
+    r: np.ndarray
+    r_norm: np.ndarray
+    thresholds: np.ndarray  # delta_inf (NaN if none), delta_tri, delta_hat
+    eliminated_at: int | None
+
+
+def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0) -> _ModeRun:
+    model = cfg.model
+    est = run_observer(observer_maps(dec, gains, model), xhat0, u, y)
+    steps = y.shape[0] - 1
+    delta_x, delta_d = radius_sequence(dyn, model, steps)
+    # r_k = T2 y_k - C2 xhat_star - D2 u_k, as residual() forms it
+    r = y[1:] @ dec.T2.T - est.xhat_star[1:] @ dec.C2.T - u[1:] @ dec.D2.T
+    r_norm = np.linalg.norm(r, axis=1)
+    tracker = ThresholdTracker(
+        dyn,
+        dec,
+        eta_w=model.eta_w,
+        eta_v=model.eta_v,
+        delta_x0=model.delta_x0,
+        k_inf_cutoff=cfg.k_inf_cutoff,
+        enum_budget=cfg.enum_budget,
+    )
+    thresholds = np.full((steps, 3), np.nan)
+    eliminated_at = None
+    for j in range(steps):
+        dinf, dtri, dhat = tracker.advance()
+        thresholds[j] = (np.nan if dinf is None else dinf, dtri, dhat)
+        if eliminate(r_norm[j], dhat):  # a scale can only clear a flag: price it only then
+            scale = residual_scale(dec, est.xhat_star[j + 1], u[j + 1], y[j + 1])
+            if eliminate(r_norm[j], dhat, scale):
+                eliminated_at = j + 1
+                break
+    return _ModeRun(est, delta_x, delta_d, r, r_norm, thresholds, eliminated_at)
+
+
 def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     """Run the full bank: observers, thresholds, elimination, fusion.
 
@@ -281,7 +457,9 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     strong-detectability test are excluded up front with a diagnostic; the
     true mode being excluded is an error.  If every hypothesis gets
     eliminated the run stops with the fault recorded and the trace kept up
-    to that step.
+    to that step.  If an output is not finite (the plant overflowed), the
+    run stops at that step with the fault recorded and the trace kept up to
+    the step before it; no observer processes the non-finite data.
     """
     model = cfg.model
     bank, excluded = build_bank(model, cfg.modes)
@@ -291,84 +469,113 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         )
 
     xs, ys, u, d_true, _ws, _vs, xhat0 = _simulate(cfg)
-    N = cfg.horizon
-    states = {q: init_observer(xhat0, model.delta_x0) for q in bank}
-    trackers = {
-        q: ThresholdTracker(
-            dyn,
-            dec,
-            eta_w=model.eta_w,
-            eta_v=model.eta_v,
-            delta_x0=model.delta_x0,
-            k_inf_cutoff=cfg.k_inf_cutoff,
-            enum_budget=cfg.enum_budget,
-        )
-        for q, (_mode, dec, _gains, dyn) in bank.items()
+    finite = np.isfinite(ys).all(axis=1)
+    bad = None if finite.all() else int(np.argmin(finite))
+    last = cfg.horizon if bad is None else max(bad - 1, 0)
+    ids = tuple(sorted(bank))
+    runs = {
+        q: _run_mode(cfg, dec, gains, dyn, u[: last + 1], ys[: last + 1], xhat0)
+        for q, (_mode, dec, gains, dyn) in bank.items()
     }
-    active: list[int] = sorted(bank)
-    active_sets: list[tuple[int, ...]] = []
-    records: list[dict[int, ResidualRecord]] = []
-    snapshots: list[dict[int, ObserverState]] = []
-    fused: list[GlobalEstimate | None] = []
-    last_record: dict[int, ResidualRecord] = {}
-    eliminated_at: dict[int, int | None] = {q: None for q in bank}
-    fault = None
-    fault_step = None
-    violations = 0
+    eliminated_at = {q: runs[q].eliminated_at for q in ids}
 
-    for k in range(N + 1):
-        for q in active:
-            _mode, dec, gains, dyn = bank[q]
-            st = step(states[q], dec, gains, dyn, u[k], ys[k], model)
-            states[q] = st
-            if st.k < 1:
-                continue
-            dinf, dtri, _ = trackers[q].advance()
-            r = residual(dec, st.xhat_star, u[k], ys[k])
-            rec = ResidualRecord.evaluate(q, st.k, r, dinf, dtri)
-            if rec.eliminated:  # a scale can only clear a flag: price it only then
-                scale = residual_scale(dec, st.xhat_star, u[k], ys[k])
-                rec = ResidualRecord.evaluate(q, st.k, r, dinf, dtri, scale)
-            last_record[q] = rec
-            if rec.eliminated:
-                eliminated_at[q] = k
-        active = [q for q in active if eliminated_at[q] is None]
-        active_sets.append(tuple(active))
-        records.append(dict(last_record))
-        snapshots.append(dict(states))
-        ests = {q: set_estimates(states[q]) for q in active} if k >= 1 else {}
-        if cfg.true_mode in ests:
-            xb, db = ests[cfg.true_mode]
-            if not xb.contains(xs[k], slack=1e-9 * (1.0 + xb.radius)):
-                violations += 1
-            d_prev = d_true[k - 1] if d_true.shape[1] else np.zeros(0)
-            if not db.contains(d_prev, slack=1e-9 * (1.0 + db.radius)):
-                violations += 1
-        if not active:
-            fault = (
-                f"all mode hypotheses eliminated at step {k}; the true mode "
-                "cannot trip its own threshold, so an assumption is violated "
-                "(mode family, noise bounds, or data consistency)"
-            )
-            fault_step = k
-            fused.append(None)
-            break
-        fused.append(fuse(active, ests) if ests else None)
+    fault = fault_step = fault_kind = None
+    steps = last
+    if all(k is not None for k in eliminated_at.values()):
+        steps = fault_step = max(eliminated_at.values())
+        fault_kind = FAULT_ELIMINATED
+        fault = (
+            f"all mode hypotheses eliminated at step {fault_step}; the true mode "
+            "cannot trip its own threshold, so an assumption is violated "
+            "(mode family, noise bounds, or data consistency)"
+        )
+    elif bad is not None:
+        fault_step = bad
+        fault_kind = FAULT_NONFINITE
+        fault = (
+            f"the output at step {bad} is not finite (the plant left the "
+            f"floating-point range); the run stops there and records steps 0..{last}"
+        )
 
+    K, Q, n = steps + 1, len(ids), model.n
+    rho = d_true.shape[1]
+    xhat = np.empty((K, Q, n))
+    xhat_pred = np.empty((K, Q, n))
+    xhat_star = np.empty((K, Q, n))
+    dhat = np.empty((K, Q, rho))
+    delta_x = np.empty((K, Q))
+    delta_d = np.empty((K, Q))
+    r_norm = np.full((K, Q), np.nan)
+    thresholds = np.full((K, Q, 3), np.nan)
+    live = np.zeros((K, Q), dtype=bool)
+    residuals = []
+    for i, q in enumerate(ids):
+        run = runs[q]
+        end = steps if eliminated_at[q] is None else eliminated_at[q]
+        # estimates and radii stay frozen from the eliminating step on
+        for out, src in (
+            (xhat, run.est.xhat_kk),
+            (xhat_pred, run.est.xhat_pred),
+            (xhat_star, run.est.xhat_star),
+            (dhat, run.est.dhat_prev),
+            (delta_x, run.delta_x),
+            (delta_d, run.delta_d),
+        ):
+            out[: end + 1, i] = src[: end + 1]
+            out[end + 1 :, i] = src[end]
+        live[1 : end + 1, i] = True
+        r_norm[1 : end + 1, i] = run.r_norm[:end]
+        thresholds[1 : end + 1, i] = run.thresholds[:end]
+        r = np.full((K, run.r.shape[1]), np.nan)
+        r[1 : end + 1] = run.r[:end]
+        residuals.append(r)
+
+    # the true mode's balls must hold the truth while it survives
+    t = ids.index(cfg.true_mode)
+    hi = steps if eliminated_at[cfg.true_mode] is None else eliminated_at[cfg.true_mode] - 1
+    dx = delta_x[1 : hi + 1, t]
+    dd = delta_d[1 : hi + 1, t]
+    x_err = np.linalg.norm(xs[1 : hi + 1] - xhat[1 : hi + 1, t], axis=1)
+    d_err = np.linalg.norm(d_true[:hi] - dhat[1 : hi + 1, t], axis=1)
+    violations = int(
+        np.count_nonzero(~(x_err <= dx + 1e-9 * (1.0 + dx)))
+        + np.count_nonzero(~(d_err <= dd + 1e-9 * (1.0 + dd)))
+    )
+
+    active_sets = tuple(
+        tuple(q for q in ids if eliminated_at[q] is None or eliminated_at[q] > k)
+        for k in range(K)
+    )
+    for arr in (xhat, xhat_pred, xhat_star, dhat, delta_x, delta_d, r_norm, thresholds, live):
+        arr.setflags(write=False)
+    for arr in residuals:
+        arr.setflags(write=False)
+    delta_inf, delta_tri, delta_hat = np.moveaxis(thresholds, 2, 0)
     return RunTrace(
         config=cfg,
         states=xs,
         outputs=ys,
         inputs=u,
         attack_values=d_true,
-        active_sets=tuple(active_sets),
-        records=tuple(records),
-        snapshots=tuple(snapshots),
-        fused=tuple(fused),
+        mode_ids=ids,
+        active_sets=active_sets,
+        xhat=xhat,
+        xhat_pred=xhat_pred,
+        xhat_star=xhat_star,
+        dhat=dhat,
+        delta_x=delta_x,
+        delta_d=delta_d,
+        residuals=tuple(residuals),
+        r_norm=r_norm,
+        delta_inf=delta_inf,
+        delta_tri=delta_tri,
+        delta_hat=delta_hat,
+        live=live,
         eliminated_at=eliminated_at,
         excluded=excluded,
         fault=fault,
         fault_step=fault_step,
+        fault_kind=fault_kind,
         containment_violations=violations,
     )
 

@@ -1,16 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything in this file is deliberately written the slow, obvious way and
-imports nothing from ``smio``: brute-force vertex enumeration, fixed-point
-Riccati iteration, symbolic invariant zeros, a direct (matrix_power)
-assembly of the stacked residual map, and a one-level-at-a-time replay of
-the threshold power sequence.  These were written and frozen before the
-library modules; library code must agree with them, never the other way
-around.
+Everything in this file is deliberately written the slow, obvious way:
+brute-force vertex enumeration, fixed-point Riccati iteration, symbolic
+invariant zeros, a direct (matrix_power) assembly of the stacked residual
+map, a one-level-at-a-time replay of the threshold power sequence, and the
+estimation pipeline stepped one observer update at a time.  Only the last
+uses ``smio``, and only its one-step functions (imported where it runs).
+These were written and frozen before the library code they check; library
+code must agree with them, never the other way around.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import sympy
@@ -240,3 +242,105 @@ class PerLevelThresholds:
             + [self.eta_v] * (self.l * (k + 1))
         )
         return np.hstack(blocks), bounds, delta_tri
+
+
+def stepwise_pipeline(cfg):
+    """The estimation pipeline as one loop over steps and surviving modes.
+
+    Each step feeds every surviving observer through ``observer.step``,
+    advances its threshold tracker, tests ``residual`` with ``eliminate``
+    (pricing ``residual_scale`` only for a residual that fails the unscaled
+    test), checks the true mode's balls, and fuses the survivors.  Returns
+    the fields of a ``RunTrace`` that this loop produces: ``active_sets``,
+    ``records``, ``snapshots`` and ``fused`` (one entry per step),
+    ``eliminated_at``, ``excluded``, ``fault``, ``fault_step`` and
+    ``containment_violations``.  It has no guard against non-finite data.
+    """
+    from smio.modeguard import (
+        ResidualRecord,
+        ThresholdTracker,
+        fuse,
+        residual,
+        residual_scale,
+    )
+    from smio.observer import init_observer, set_estimates, step
+    from smio.sim import SimulationError, build_bank, simulate_plant
+
+    model = cfg.model
+    bank, excluded = build_bank(model, cfg.modes)
+    if cfg.true_mode in excluded:
+        raise SimulationError(f"true mode {cfg.true_mode} unusable: {excluded[cfg.true_mode]}")
+    xs, ys = simulate_plant(cfg)
+    u = cfg.inputs
+    N = cfg.horizon
+    rho = cfg.mode_by_id(cfg.true_mode).rho
+    d_true = cfg.attack.values if cfg.attack is not None else np.zeros((N + 1, rho))
+    xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros(model.n)
+    states = {q: init_observer(xhat0, model.delta_x0) for q in bank}
+    trackers = {
+        q: ThresholdTracker(
+            dyn,
+            dec,
+            eta_w=model.eta_w,
+            eta_v=model.eta_v,
+            delta_x0=model.delta_x0,
+            k_inf_cutoff=cfg.k_inf_cutoff,
+            enum_budget=cfg.enum_budget,
+        )
+        for q, (_mode, dec, _gains, dyn) in bank.items()
+    }
+    active = sorted(bank)
+    active_sets, records, snapshots, fused = [], [], [], []
+    last_record = {}
+    eliminated_at = {q: None for q in bank}
+    fault = fault_step = None
+    violations = 0
+    for k in range(N + 1):
+        for q in active:
+            _mode, dec, gains, dyn = bank[q]
+            st = step(states[q], dec, gains, dyn, u[k], ys[k], model)
+            states[q] = st
+            if st.k < 1:
+                continue
+            dinf, dtri, _ = trackers[q].advance()
+            r = residual(dec, st.xhat_star, u[k], ys[k])
+            rec = ResidualRecord.evaluate(q, st.k, r, dinf, dtri)
+            if rec.eliminated:
+                scale = residual_scale(dec, st.xhat_star, u[k], ys[k])
+                rec = ResidualRecord.evaluate(q, st.k, r, dinf, dtri, scale)
+            last_record[q] = rec
+            if rec.eliminated:
+                eliminated_at[q] = k
+        active = [q for q in active if eliminated_at[q] is None]
+        active_sets.append(tuple(active))
+        records.append(dict(last_record))
+        snapshots.append(dict(states))
+        ests = {q: set_estimates(states[q]) for q in active} if k >= 1 else {}
+        if cfg.true_mode in ests:
+            xb, db = ests[cfg.true_mode]
+            if not xb.contains(xs[k], slack=1e-9 * (1.0 + xb.radius)):
+                violations += 1
+            d_prev = d_true[k - 1] if d_true.shape[1] else np.zeros(0)
+            if not db.contains(d_prev, slack=1e-9 * (1.0 + db.radius)):
+                violations += 1
+        if not active:
+            fault = (
+                f"all mode hypotheses eliminated at step {k}; the true mode "
+                "cannot trip its own threshold, so an assumption is violated "
+                "(mode family, noise bounds, or data consistency)"
+            )
+            fault_step = k
+            fused.append(None)
+            break
+        fused.append(fuse(active, ests) if ests else None)
+    return SimpleNamespace(
+        active_sets=tuple(active_sets),
+        records=tuple(records),
+        snapshots=tuple(snapshots),
+        fused=tuple(fused),
+        eliminated_at=eliminated_at,
+        excluded=excluded,
+        fault=fault,
+        fault_step=fault_step,
+        containment_violations=violations,
+    )

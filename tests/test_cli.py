@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end: config ingestion, CSV
 trace emission, summary documents, analyzer output, and the exit-code
-contract (0 ok / 1 usage / 2 config / 3 all-eliminated / 4 not-certified)."""
+contract (0 ok / 1 usage / 2 config / 3 all-eliminated / 4 not-certified /
+5 non-finite measurement)."""
 
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,40 @@ def test_all_modes_eliminated_exits_3_with_partial_trace(tmp_path, capsys):
     assert last_fused["active_count"] == "0"
 
 
+def test_nonfinite_measurement_exits_5_with_partial_trace(tmp_path, capsys):
+    # a plant that grows 40-fold per step: its outputs overflow to inf
+    cfg = {
+        "model": {
+            "A": [[40.0]],
+            "B": [[0.0]],
+            "C": [[1.0], [1.0]],
+            "D": [[0.0], [0.0]],
+            "G": [[]],
+            "H": [[1.0, 0.0], [0.0, 1.0]],
+            "eta_w": 0.01,
+            "eta_v": 0.001,
+            "delta_x0": 0.1,
+        },
+        "modes": {"t_a": 0, "t_s": 2, "rho": 1},
+        "scenario": {"true_mode": 1, "horizon": 300, "seed": 0, "x0": [0.05]},
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "overflow.csv"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 5
+
+    summary = json.loads(out.with_suffix(".summary.json").read_text())
+    step = summary["fault_step"]
+    assert step is not None and 0 < step < 300
+    assert f"step {step}" in summary["fault"] and "not finite" in summary["fault"]
+    assert f"step {step}" in capsys.readouterr().err
+    assert summary["steps_recorded"] == step - 1
+    assert summary["containment_violations"] == 0
+    assert summary["final_active"] == [1, 2]
+    rows = read_rows(out)
+    assert max(int(r["k"]) for r in rows) == step - 1
+    assert all("nan" not in r.values() for r in rows)
+
+
 # ------------------------------------------------------------ config errors
 
 
@@ -371,6 +407,30 @@ def test_analyze_benchmark_certified_by_condition_ii(tmp_path, capsys):
     assert "not evaluated" in report["note"]
     self_pairs = [p for p in report["pairs"] if p["q"] == p["q_prime"]]
     assert all(p["condition_ii"] is False for p in self_pairs)
+
+
+BUILTIN_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "builtin_benchmark.json"
+
+
+def test_builtin_config_analyzes(capsys):
+    rc = cli.main(["analyze", "--config", str(BUILTIN_CONFIG)])
+    assert rc in (0, 4)
+    report = json.loads(capsys.readouterr().out)
+    assert report["certified"] is (rc == 0)
+    assert len(report["pairs"]) == 25
+    assert report["excluded"] == {}
+
+
+def test_builtin_config_simulates_like_the_benchmark_command(tmp_path):
+    via_config = tmp_path / "config.csv"
+    via_benchmark = tmp_path / "benchmark.csv"
+    assert cli.main(["simulate", "--config", str(BUILTIN_CONFIG), "--out", str(via_config)]) == 0
+    assert cli.main(["benchmark", "--seed", "0", "--out", str(via_benchmark)]) == 0
+    for suffix in (".csv", ".summary.json"):
+        assert (
+            via_config.with_suffix(suffix).read_bytes()
+            == via_benchmark.with_suffix(suffix).read_bytes()
+        ), suffix
 
 
 def test_analyze_identical_subspaces_not_certified(tmp_path):

@@ -1,12 +1,21 @@
 """Plant simulation, pipeline orchestration, and trace invariants."""
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
+from conftest import random_instance
+from oracles import stepwise_pipeline
+from smio import sim
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import AttackSignal, SystemModel, enumerate_modes
+from smio.modeguard import residual_scale
 from smio.observer import init_observer, step
 from smio.sim import (
+    FAULT_ELIMINATED,
+    FAULT_NONFINITE,
     RunTrace,
     ScenarioConfig,
     SimulationError,
@@ -357,6 +366,163 @@ def test_zero_residual_true_mode_not_eliminated_by_rounding():
         assert trace.fault is None, f"seed {seed}: {trace.fault}"
         assert trace.eliminated_at[1] is None
         assert trace.containment_violations == 0
+
+
+# ------------------------------------------------ the stepwise oracle
+
+QUIET = pytest.mark.filterwarnings(
+    "ignore::smio.decomposition.ConservativeRadiusWarning",
+    "ignore::smio.model.DegenerateModeWarning",
+)
+
+# run_pipeline takes the data part of every step in one matrix product where
+# the oracle takes one matrix-vector product per step, so estimates may move
+# at rounding level; everything decided or data-independent must not move.
+# A residual is a difference of the terms residual_scale() sizes, so its
+# rounding is relative to those terms, not to its own norm.
+REL = 1e-12
+
+
+def _assert_close(actual, expected, what):
+    """``actual`` within REL of ``expected``, relative to its largest entry."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, what
+    size = float(np.max(np.abs(expected), initial=0.0))
+    assert np.max(np.abs(actual - expected), initial=0.0) <= REL * size, what
+
+
+def _assert_matches_stepwise(trace, ref):
+    bank, _ = sim.build_bank(trace.config.model, trace.config.modes)
+    assert trace.active_sets == ref.active_sets
+    assert trace.eliminated_at == ref.eliminated_at
+    assert trace.excluded == ref.excluded
+    assert (trace.fault, trace.fault_step) == (ref.fault, ref.fault_step)
+    assert trace.containment_violations == ref.containment_violations
+    assert len(trace.snapshots) == len(ref.snapshots) == len(trace.records)
+    for k, (snap, want_snap) in enumerate(zip(trace.snapshots, ref.snapshots)):
+        assert snap.keys() == want_snap.keys()
+        for q, st in snap.items():
+            want = want_snap[q]
+            where = f"step {k}, mode {q}"
+            assert (st.k, st.delta_x, st.delta_d) == (want.k, want.delta_x, want.delta_d), where
+            _assert_close(st.xhat_kk, want.xhat_kk, where)
+            if want.dhat_prev is None:
+                assert st.dhat_prev is None, where
+            else:
+                _assert_close(st.dhat_prev, want.dhat_prev, where)
+    for k, (recs, want_recs) in enumerate(zip(trace.records, ref.records)):
+        assert recs.keys() == want_recs.keys()
+        for q, rec in recs.items():
+            want = want_recs[q]
+            where = f"step {k}, mode {q}"
+            fields = ("k", "delta_inf", "delta_tri", "delta_hat", "eliminated")
+            assert [getattr(rec, f) for f in fields] == [getattr(want, f) for f in fields], where
+            xstar = ref.snapshots[want.k][q].xhat_star
+            u, y = trace.inputs[want.k], trace.outputs[want.k]
+            scale = residual_scale(bank[q][1], xstar, u, y)
+            assert abs(rec.r_norm - want.r_norm) <= REL * (want.r_norm + scale), where
+
+
+@QUIET
+def test_pipeline_matches_stepwise_oracle_on_random_banks():
+    rng = np.random.default_rng(60)
+    horizon = 60
+    compared = eliminated = 0
+    while compared < 40:
+        model, bank = random_instance(rng)
+        modes = tuple(mode for mode, *_ in bank)
+        true = modes[int(rng.integers(len(modes)))]
+        cfg = ScenarioConfig(
+            model=model,
+            modes=modes,
+            true_mode=true.id,
+            horizon=horizon,
+            attack=sinusoid_attack(true, horizon + 1) if true.rho else None,
+            known_input=rng.normal(size=(horizon + 1, model.m)),
+            noise_seed=int(rng.integers(1 << 16)),
+        )
+        try:
+            ref = stepwise_pipeline(cfg)
+        except SimulationError:  # the drawn true mode is not strongly detectable
+            continue
+        _assert_matches_stepwise(run_pipeline(cfg), ref)
+        compared += 1
+        eliminated += sum(k is not None for k in ref.eliminated_at.values())
+    assert eliminated >= 10  # the campaign exercises elimination, not just survival
+
+
+@QUIET
+@pytest.mark.parametrize("true_mode", [1, 2, 3, 4, 5])
+def test_pipeline_matches_stepwise_oracle_on_builtin_plant(true_mode):
+    cfg = benchmark_scenario(seed=0, horizon=1000, true_mode=true_mode)
+    _assert_matches_stepwise(run_pipeline(cfg), stepwise_pipeline(cfg))
+
+
+def test_pipeline_matches_stepwise_oracle_when_all_modes_eliminated():
+    model = _sensor_pair_model()
+    modes = enumerate_modes(0, 2, 1, model.G, model.H)
+    cfg = ScenarioConfig(
+        model=model, modes=tuple(modes), true_mode=1, horizon=30,
+        noise_seed=3, x0=np.array([50.0, -40.0]),
+    )
+    trace = run_pipeline(cfg)
+    assert trace.fault_kind == FAULT_ELIMINATED
+    _assert_matches_stepwise(trace, stepwise_pipeline(cfg))
+
+
+def test_trace_arrays_are_read_only():
+    trace = run_pipeline(benchmark_scenario(seed=0, horizon=10))
+    arrays = (trace.xhat, trace.dhat, trace.delta_x, trace.delta_hat, trace.live)
+    for arr in arrays + trace.residuals:
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+# ------------------------------------------------------- non-finite data
+
+
+def _overflowing_plant_config():
+    # the plant grows 40-fold per step, so its outputs overflow near step 194
+    model = SystemModel(
+        A=np.array([[40.0]]),
+        B=np.zeros((1, 1)),
+        C=np.array([[1.0], [1.0]]),
+        D=np.zeros((2, 1)),
+        G=np.zeros((1, 0)),
+        H=np.eye(2),
+        eta_w=0.01,
+        eta_v=0.001,
+        delta_x0=0.1,
+    )
+    modes = enumerate_modes(0, 2, 1, model.G, model.H)
+    return ScenarioConfig(
+        model=model, modes=tuple(modes), true_mode=1, horizon=300,
+        noise_seed=0, x0=np.array([0.05]),
+    )
+
+
+def test_nonfinite_output_stops_the_run_with_a_fault():
+    cfg = _overflowing_plant_config()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_pipeline(cfg)
+    bad = int(np.flatnonzero(~np.isfinite(trace.outputs).all(axis=1))[0])
+    assert 0 < bad < cfg.horizon
+    assert trace.fault_kind == FAULT_NONFINITE
+    assert trace.fault_step == bad
+    assert f"step {bad}" in trace.fault
+    # the steps before the bad one are recorded, and nothing in them is NaN
+    assert trace.steps_recorded == bad - 1
+    assert trace.final_active == (1, 2)
+    assert trace.containment_violations == 0
+    assert np.isfinite(trace.r_norm[trace.live]).all()
+    assert np.isfinite(trace.xhat).all()
+    # no observer saw the non-finite data: only the plant itself overflows
+    lines, start = inspect.getsourcelines(sim._simulate)
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            assert w.filename == sim.__file__, w
+            assert start <= w.lineno < start + len(lines), w
 
 
 # ------------------------------------------------------------ benchmark kit
