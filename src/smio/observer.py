@@ -5,14 +5,19 @@ At every step the observer (for hypothesis q): inverts the output-visible
 attack component of the *previous* measurement, propagates the state one
 step, inverts the state-side attack component using the *current*
 measurement, and finally applies an innovation correction on the
-attack-free residual channel.  All four stages are linear, so one step is
-an affine map of the previous estimate and the stacked data
-``z_k = [u_{k-1}; y_{k-1}; u_k; y_k]``; :func:`observer_maps` composes the
-stages once per mode, and both the one-step API (:func:`step`) and the
-whole-horizon run (:func:`run_observer`) apply those same maps.  Because
-the update mixes two adjacent time indices, :func:`step` caches the last
-(u, y) pair internally — callers feed one pair per step, and the very
-first call only registers the time-0 pair without advancing the estimate.
+attack-free residual channel.  All four stages are linear, so the
+corrected estimate obeys ``xhat_k = Ae xhat_{k-1} + s_k``, with ``Ae`` the
+closed error map and ``s_k`` the four stages run on the data alone (a zero
+previous estimate).  The one-step API (:func:`step`) and the whole-horizon
+run (:func:`run_observer`) both step the corrected estimate this way and
+take every stage in the same order and grouping (:func:`_stages`), so the
+observer is defined in one place: a cancellation in the data (an attack
+the decomposition absorbs) happens inside a stage, as the paper's
+recursion does it, and leaves rounding relative to that stage's terms.
+Because the update mixes two adjacent time indices, :func:`step` caches
+the last (u, y) pair internally — callers feed one pair per step, and the
+very first call only registers the time-0 pair without advancing the
+estimate.
 
 Alongside the centroids, two set radii are propagated so that (when q is
 the true mode and the noise respects its bounds) the true state lies in
@@ -36,12 +41,10 @@ from .model import SystemModel
 
 __all__ = [
     "ObserverState",
-    "ObserverMaps",
     "SetEstimate",
     "ObserverError",
     "NotReadyError",
     "init_observer",
-    "observer_maps",
     "step",
     "HorizonEstimates",
     "run_observer",
@@ -118,68 +121,17 @@ def init_observer(xhat0, delta_x0: float) -> ObserverState:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ObserverMaps:
-    """One observer step of one mode as affine maps.
-
-    With ``x = xhat_{k-1}`` and ``z = [u_{k-1}; y_{k-1}; u_k; y_k]``, the
-    step produces ``xhat_pred = Phi_pred x + K_pred z``, ``xhat_star =
-    Phi_star x + K_star z``, ``xhat_kk = Phi x + K z`` and ``dhat_prev =
-    Phi_d x + K_d z``.  ``Phi`` is the corrected error map
-    ``(I - Ltilde C2)(I - G2 M2 C2)(A - G1 M1 C1)``.
-    """
-
-    Phi_pred: np.ndarray = field(repr=False)
-    K_pred: np.ndarray = field(repr=False)
-    Phi_star: np.ndarray = field(repr=False)
-    K_star: np.ndarray = field(repr=False)
-    Phi: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
-    Phi_d: np.ndarray = field(repr=False)
-    K_d: np.ndarray = field(repr=False)
-
-
-def observer_maps(
-    dec: ModeDecomposition, gains: ObserverGains, model: SystemModel
-) -> ObserverMaps:
-    """Compose the four stages of one observer step into affine maps."""
-    n, m, l = model.n, model.m, model.l
-    M1, M2, Lt = gains.M1, gains.M2, gains.Ltilde
-
-    def z_cols(u_prev, y_prev, u, y):
-        # one block per entry of z; None is a zero block
-        rows = next(b.shape[0] for b in (u_prev, y_prev, u, y) if b is not None)
-        return np.hstack(
-            [
-                np.zeros((rows, w)) if b is None else b
-                for b, w in ((u_prev, m), (y_prev, l), (u, m), (y, l))
-            ]
-        )
-
-    # d1 = M1 (T1 y_{k-1} - C1 x - D1 u_{k-1}): output-visible attack part
-    d1_x = -M1 @ dec.C1
-    d1_z = z_cols(-M1 @ dec.D1, M1 @ dec.T1, None, None)
-    # time update
-    pred_x = model.A - dec.G1 @ M1 @ dec.C1
-    pred_z = z_cols(model.B, None, None, None) + dec.G1 @ d1_z
-    # d2 = M2 (T2 y_k - C2 xhat_pred - D2 u_k): state-side attack part
-    d2_x = -M2 @ dec.C2 @ pred_x
-    d2_z = z_cols(None, None, -M2 @ dec.D2, M2 @ dec.T2) - M2 @ dec.C2 @ pred_z
-    # xhat_star = xhat_pred + G2 d2
-    star_x = (np.eye(n) - dec.G2 @ M2 @ dec.C2) @ pred_x
-    star_z = pred_z + dec.G2 @ d2_z
-    # innovation correction on the attack-free residual channel
-    IL = np.eye(n) - Lt @ dec.C2
-    return ObserverMaps(
-        Phi_pred=pred_x,
-        K_pred=pred_z,
-        Phi_star=star_x,
-        K_star=star_z,
-        Phi=IL @ star_x,
-        K=IL @ star_z + z_cols(None, None, -Lt @ dec.D2, Lt @ dec.T2),
-        Phi_d=dec.V1 @ d1_x + dec.V2 @ d2_x,
-        K_d=dec.V1 @ d1_z + dec.V2 @ d2_z,
-    )
+def _stages(dec, gains, model, x, u_prev, y_prev, u, y):
+    """``(xhat_pred, xhat_star, dhat_prev, xhat_kk)`` from the previous
+    estimate ``x``, stage by stage.  Every argument is one vector, or one
+    row per step for a whole horizon."""
+    d1 = (y_prev @ dec.T1.T - x @ dec.C1.T - u_prev @ dec.D1.T) @ gains.M1.T
+    xpred = x @ model.A.T + u_prev @ model.B.T + d1 @ dec.G1.T
+    z2 = y @ dec.T2.T
+    d2 = (z2 - xpred @ dec.C2.T - u @ dec.D2.T) @ gains.M2.T
+    xstar = xpred + d2 @ dec.G2.T
+    xkk = xstar + (z2 - xstar @ dec.C2.T - u @ dec.D2.T) @ gains.Ltilde.T
+    return xpred, xstar, d1 @ dec.V1.T + d2 @ dec.V2.T, xkk
 
 
 def _times(coeff: float, radius: float) -> float:
@@ -238,15 +190,15 @@ def step(
             y_prev=y,
         )
 
-    maps = observer_maps(dec, gains, model)
-    x = state.xhat_kk
-    z = np.concatenate([state.u_prev, state.y_prev, u, y])
+    x, data = state.xhat_kk, (state.u_prev, state.y_prev, u, y)
+    xpred, xstar, dhat, _ = _stages(dec, gains, model, x, *data)
+    drive = _stages(dec, gains, model, np.zeros_like(x), *data)[3]
     delta_x, delta_d = _radii(errdyn, model.eta_w, model.eta_v, state.delta_x)
     return ObserverState(
-        xhat_kk=maps.Phi @ x + maps.K @ z,
-        xhat_pred=maps.Phi_pred @ x + maps.K_pred @ z,
-        xhat_star=maps.Phi_star @ x + maps.K_star @ z,
-        dhat_prev=maps.Phi_d @ x + maps.K_d @ z,
+        xhat_kk=errdyn.Ae @ x + drive,
+        xhat_pred=xpred,
+        xhat_star=xstar,
+        dhat_prev=dhat,
         delta_x=delta_x,
         delta_d=delta_d,
         k=state.k + 1,
@@ -267,29 +219,38 @@ class HorizonEstimates:
     dhat_prev: np.ndarray = field(repr=False)
 
 
-def run_observer(maps: ObserverMaps, xhat0, u: np.ndarray, y: np.ndarray) -> HorizonEstimates:
-    """Run one observer over the data rows ``u[0..N]``, ``y[0..N]``.
+def run_observer(
+    dec: ModeDecomposition,
+    gains: ObserverGains,
+    errdyn: ErrorDynamics,
+    model: SystemModel,
+    xhat0,
+    u: np.ndarray,
+    y: np.ndarray,
+) -> HorizonEstimates:
+    """Run one observer over the data rows ``u[0..N]``, ``y[0..N]``, with
+    the recursion :func:`step` applies.
 
-    The data part of every step is one matrix product for the whole
-    horizon; only the ``Phi`` recursion is stepped.
+    Each stage takes one matrix product for the whole horizon, once for
+    the data drive and once more, after the recursion, for the
+    intermediate estimates; only ``xhat_k = Ae xhat_{k-1} + s_k`` is
+    stepped.
     """
     steps = y.shape[0]
-    n = maps.Phi.shape[0]
-    Z = np.hstack([u[:-1], y[:-1], u[1:], y[1:]])  # row k-1 is z_k
-    drive = Z @ maps.K.T
-    xkk = np.empty((steps, n))
+    data = (u[:-1], y[:-1], u[1:], y[1:])  # row k-1 holds the data of step k
+    drive = _stages(dec, gains, model, np.zeros((steps - 1, model.n)), *data)[3]
+    xkk = np.empty((steps, model.n))
     xkk[0] = np.asarray(xhat0, dtype=float).reshape(-1)
-    Phi = maps.Phi
+    Ae = errdyn.Ae
     for k in range(1, steps):
-        xkk[k] = Phi @ xkk[k - 1] + drive[k - 1]
-    xprev = xkk[:-1]
+        xkk[k] = Ae @ xkk[k - 1] + drive[k - 1]
+    del drive
     xpred = np.empty_like(xkk)
     xstar = np.empty_like(xkk)
+    dhat = np.empty((steps, dec.V1.shape[0]))
     xpred[0] = xstar[0] = xkk[0]
-    xpred[1:] = xprev @ maps.Phi_pred.T + Z @ maps.K_pred.T
-    xstar[1:] = xprev @ maps.Phi_star.T + Z @ maps.K_star.T
-    dhat = np.full((steps, maps.Phi_d.shape[0]), np.nan)
-    dhat[1:] = xprev @ maps.Phi_d.T + Z @ maps.K_d.T
+    dhat[0] = np.nan
+    xpred[1:], xstar[1:], dhat[1:], _ = _stages(dec, gains, model, xkk[:-1], *data)
     return HorizonEstimates(xhat_kk=xkk, xhat_pred=xpred, xhat_star=xstar, dhat_prev=dhat)
 
 

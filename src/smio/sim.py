@@ -42,14 +42,7 @@ from .modeguard import (
     fuse,
     residual_scale,
 )
-from .observer import (
-    HorizonEstimates,
-    ObserverState,
-    observer_maps,
-    radius_sequence,
-    run_observer,
-    set_estimates,
-)
+from .observer import ObserverState, radius_sequence, run_observer, set_estimates
 
 __all__ = [
     "SimulationError",
@@ -405,29 +398,30 @@ def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, s
     return bank, excluded
 
 
-@dataclass(frozen=True, eq=False)
-class _ModeRun:
-    """One observer run over steps 0..N, tested up to its elimination.
-
-    The residual arrays hold steps 1..N, row ``k - 1`` for step ``k``."""
-
-    est: HorizonEstimates
-    delta_x: np.ndarray
-    delta_d: np.ndarray
-    r: np.ndarray
-    r_norm: np.ndarray
-    thresholds: np.ndarray  # delta_inf (NaN if none), delta_tri, delta_hat
-    eliminated_at: int | None
-
-
-def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0) -> _ModeRun:
+def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0, out: dict) -> tuple:
+    """Run one hypothesis over the data rows ``u[0..N]``, ``y[0..N]`` and
+    write its rows into ``out``, this mode's ``(N+1)``-row slices of the
+    trace arrays.  Returns ``(eliminated_at, residuals)``; rows past the
+    eliminating step keep its estimates and radii, and NaN residuals and
+    thresholds."""
     model = cfg.model
-    est = run_observer(observer_maps(dec, gains, model), xhat0, u, y)
     steps = y.shape[0] - 1
-    delta_x, delta_d = radius_sequence(dyn, model, steps)
+    est = run_observer(dec, gains, dyn, model, xhat0, u, y)
+    out["delta_x"][:], out["delta_d"][:] = radius_sequence(dyn, model, steps)
+    for name, rows in (
+        ("xhat", est.xhat_kk),
+        ("xhat_pred", est.xhat_pred),
+        ("xhat_star", est.xhat_star),
+        ("dhat", est.dhat_prev),
+    ):
+        out[name][:] = rows
+    del est
+    xstar = out["xhat_star"]
     # r_k = T2 y_k - C2 xhat_star - D2 u_k, as residual() forms it
-    r = y[1:] @ dec.T2.T - est.xhat_star[1:] @ dec.C2.T - u[1:] @ dec.D2.T
-    r_norm = np.linalg.norm(r, axis=1)
+    r = np.full((steps + 1, dec.T2.shape[0]), np.nan)
+    r[1:] = y[1:] @ dec.T2.T - xstar[1:] @ dec.C2.T - u[1:] @ dec.D2.T
+    r_norm = out["r_norm"]
+    r_norm[1:] = np.linalg.norm(r[1:], axis=1)
     tracker = ThresholdTracker(
         dyn,
         dec,
@@ -437,17 +431,22 @@ def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0) -> _ModeRun:
         k_inf_cutoff=cfg.k_inf_cutoff,
         enum_budget=cfg.enum_budget,
     )
-    thresholds = np.full((steps, 3), np.nan)
-    eliminated_at = None
-    for j in range(steps):
+    thresholds = out["thresholds"]
+    for k in range(1, steps + 1):
         dinf, dtri, dhat = tracker.advance()
-        thresholds[j] = (np.nan if dinf is None else dinf, dtri, dhat)
-        if eliminate(r_norm[j], dhat):  # a scale can only clear a flag: price it only then
-            scale = residual_scale(dec, est.xhat_star[j + 1], u[j + 1], y[j + 1])
-            if eliminate(r_norm[j], dhat, scale):
-                eliminated_at = j + 1
+        thresholds[k] = (np.nan if dinf is None else dinf, dtri, dhat)
+        if eliminate(r_norm[k], dhat):  # a scale can only clear a flag: price it only then
+            if eliminate(r_norm[k], dhat, residual_scale(dec, xstar[k], u[k], y[k])):
                 break
-    return _ModeRun(est, delta_x, delta_d, r, r_norm, thresholds, eliminated_at)
+    else:
+        out["live"][1:] = True
+        return None, r
+    # the estimates and radii stay frozen from the eliminating step on
+    for name in ("xhat", "xhat_pred", "xhat_star", "dhat", "delta_x", "delta_d"):
+        out[name][k + 1 :] = out[name][k]
+    r[k + 1 :] = r_norm[k + 1 :] = np.nan
+    out["live"][1 : k + 1] = True
+    return k, r
 
 
 def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
@@ -473,11 +472,27 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     bad = None if finite.all() else int(np.argmin(finite))
     last = cfg.horizon if bad is None else max(bad - 1, 0)
     ids = tuple(sorted(bank))
-    runs = {
-        q: _run_mode(cfg, dec, gains, dyn, u[: last + 1], ys[: last + 1], xhat0)
-        for q, (_mode, dec, gains, dyn) in bank.items()
+    n, Q, rho = model.n, len(ids), d_true.shape[1]
+    shapes = {
+        "xhat": (n,),
+        "xhat_pred": (n,),
+        "xhat_star": (n,),
+        "dhat": (rho,),
+        "delta_x": (),
+        "delta_d": (),
+        "r_norm": (),
+        "thresholds": (3,),  # delta_inf (NaN if none), delta_tri, delta_hat
     }
-    eliminated_at = {q: runs[q].eliminated_at for q in ids}
+    arrays = {name: np.full((last + 1, Q) + shape, np.nan) for name, shape in shapes.items()}
+    arrays["live"] = np.zeros((last + 1, Q), dtype=bool)
+    eliminated_at, residuals = {}, []
+    for i, q in enumerate(ids):
+        _mode, dec, gains, dyn = bank[q]
+        out = {name: arr[:, i] for name, arr in arrays.items()}
+        eliminated_at[q], r = _run_mode(
+            cfg, dec, gains, dyn, u[: last + 1], ys[: last + 1], xhat0, out
+        )
+        residuals.append(r)
 
     fault = fault_step = fault_kind = None
     steps = last
@@ -496,47 +511,19 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
             f"the output at step {bad} is not finite (the plant left the "
             f"floating-point range); the run stops there and records steps 0..{last}"
         )
-
-    K, Q, n = steps + 1, len(ids), model.n
-    rho = d_true.shape[1]
-    xhat = np.empty((K, Q, n))
-    xhat_pred = np.empty((K, Q, n))
-    xhat_star = np.empty((K, Q, n))
-    dhat = np.empty((K, Q, rho))
-    delta_x = np.empty((K, Q))
-    delta_d = np.empty((K, Q))
-    r_norm = np.full((K, Q), np.nan)
-    thresholds = np.full((K, Q, 3), np.nan)
-    live = np.zeros((K, Q), dtype=bool)
-    residuals = []
-    for i, q in enumerate(ids):
-        run = runs[q]
-        end = steps if eliminated_at[q] is None else eliminated_at[q]
-        # estimates and radii stay frozen from the eliminating step on
-        for out, src in (
-            (xhat, run.est.xhat_kk),
-            (xhat_pred, run.est.xhat_pred),
-            (xhat_star, run.est.xhat_star),
-            (dhat, run.est.dhat_prev),
-            (delta_x, run.delta_x),
-            (delta_d, run.delta_d),
-        ):
-            out[: end + 1, i] = src[: end + 1]
-            out[end + 1 :, i] = src[end]
-        live[1 : end + 1, i] = True
-        r_norm[1 : end + 1, i] = run.r_norm[:end]
-        thresholds[1 : end + 1, i] = run.thresholds[:end]
-        r = np.full((K, run.r.shape[1]), np.nan)
-        r[1 : end + 1] = run.r[:end]
-        residuals.append(r)
+    K = steps + 1
+    for arr in (*arrays.values(), *residuals):
+        arr.setflags(write=False)
+    view = {name: arr[:K] for name, arr in arrays.items()}
+    delta_inf, delta_tri, delta_hat = np.moveaxis(view.pop("thresholds"), 2, 0)
 
     # the true mode's balls must hold the truth while it survives
     t = ids.index(cfg.true_mode)
     hi = steps if eliminated_at[cfg.true_mode] is None else eliminated_at[cfg.true_mode] - 1
-    dx = delta_x[1 : hi + 1, t]
-    dd = delta_d[1 : hi + 1, t]
-    x_err = np.linalg.norm(xs[1 : hi + 1] - xhat[1 : hi + 1, t], axis=1)
-    d_err = np.linalg.norm(d_true[:hi] - dhat[1 : hi + 1, t], axis=1)
+    dx = view["delta_x"][1 : hi + 1, t]
+    dd = view["delta_d"][1 : hi + 1, t]
+    x_err = np.linalg.norm(xs[1 : hi + 1] - view["xhat"][1 : hi + 1, t], axis=1)
+    d_err = np.linalg.norm(d_true[:hi] - view["dhat"][1 : hi + 1, t], axis=1)
     violations = int(
         np.count_nonzero(~(x_err <= dx + 1e-9 * (1.0 + dx)))
         + np.count_nonzero(~(d_err <= dd + 1e-9 * (1.0 + dd)))
@@ -546,11 +533,6 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         tuple(q for q in ids if eliminated_at[q] is None or eliminated_at[q] > k)
         for k in range(K)
     )
-    for arr in (xhat, xhat_pred, xhat_star, dhat, delta_x, delta_d, r_norm, thresholds, live):
-        arr.setflags(write=False)
-    for arr in residuals:
-        arr.setflags(write=False)
-    delta_inf, delta_tri, delta_hat = np.moveaxis(thresholds, 2, 0)
     return RunTrace(
         config=cfg,
         states=xs,
@@ -559,18 +541,11 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         attack_values=d_true,
         mode_ids=ids,
         active_sets=active_sets,
-        xhat=xhat,
-        xhat_pred=xhat_pred,
-        xhat_star=xhat_star,
-        dhat=dhat,
-        delta_x=delta_x,
-        delta_d=delta_d,
-        residuals=tuple(residuals),
-        r_norm=r_norm,
+        residuals=tuple(r[:K] for r in residuals),
         delta_inf=delta_inf,
         delta_tri=delta_tri,
         delta_hat=delta_hat,
-        live=live,
+        **view,
         eliminated_at=eliminated_at,
         excluded=excluded,
         fault=fault,
