@@ -67,6 +67,11 @@ class UnsupportedPairError(ValueError):
     """A cross-mode computation was requested for modes whose residual dimensions differ."""
 
 
+# Sign vertices evaluated per block in threshold_inf: bounds the temporaries
+# (block * (2c + r) floats) whatever the column count c.
+_ENUM_CHUNK = 2048
+
+
 def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
@@ -434,15 +439,18 @@ def threshold_inf(sm: StackedResidualModel, enum_budget: int = 16) -> float:
     if rows == 1:
         return float(np.abs(A[0]) @ b)
     if cols <= enum_budget:
-        # symmetry: fix the first coordinate's sign
+        # symmetry: fix the first coordinate's sign; walk the vertices in blocks
         count = 1 << (cols - 1)
-        idx = np.arange(count, dtype=np.uint64)[:, None]
         shifts = np.arange(cols - 1, dtype=np.uint64)[None, :]
-        signs = np.ones((count, cols))
-        signs[:, 1:] = 1.0 - 2.0 * ((idx >> shifts) & np.uint64(1))
-        verts = signs * b
-        vals = np.einsum("rc,vc->vr", A, verts)
-        return float(np.sqrt(np.max(np.sum(vals * vals, axis=1))))
+        best = np.float64(0.0)
+        for start in range(0, count, _ENUM_CHUNK):
+            idx = np.arange(start, min(start + _ENUM_CHUNK, count), dtype=np.uint64)[:, None]
+            signs = np.ones((idx.shape[0], cols))
+            signs[:, 1:] = 1.0 - 2.0 * ((idx >> shifts) & np.uint64(1))
+            verts = signs * b
+            vals = np.einsum("rc,vc->vr", A, verts)
+            best = np.maximum(best, np.max(np.sum(vals * vals, axis=1)))
+        return float(np.sqrt(best))
     return float(np.linalg.norm(np.abs(A) @ b))
 
 

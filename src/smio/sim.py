@@ -62,8 +62,9 @@ __all__ = [
 ]
 
 
-# Largest accepted ``enum_budget``: enumerating c columns and r residual rows
-# takes 2**(c-1) * (2c + r) * 8 bytes, ~9 MB at 16, ~180 MB at 20, 3.4 GB at 24.
+# Largest accepted ``enum_budget``: the vertex walk is done in fixed blocks, so
+# memory stays flat, but its time doubles per column: 2**(c-1) vertices per
+# threshold level, ~0.5 M at 20, ~8 M at 24.
 ENUM_BUDGET_MAX = 20
 
 # RunTrace.fault_kind values
@@ -356,15 +357,20 @@ def _simulate(cfg: ScenarioConfig):
         vs[k] = sample_bounded(l, model.eta_v, rng_noise)
         if k < N:
             ws[k] = sample_bounded(n, model.eta_w, rng_noise)
-    xs = np.zeros((N + 1, n))
-    ys = np.zeros((N + 1, l))
+    # rows after the first non-finite state or output stay NaN: the plant
+    # has left the floating-point range, and stepping on would only overflow.
+    # States and outputs share one row so that one test covers both.
+    xy = np.full((N + 1, n + l), np.nan)
+    xs, ys = xy[:, :n], xy[:, n:]
     xs[0] = x0
-    for k in range(N + 1):
-        dk = d[k] if mode_star.rho else np.zeros(0)
-        ys[k] = model.C @ xs[k] + model.D @ u[k] + mode_star.Hq @ dk + vs[k]
-        if k < N:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            dk = d[k] if mode_star.rho else np.zeros(0)
+            ys[k] = model.C @ xs[k] + model.D @ u[k] + mode_star.Hq @ dk + vs[k]
+            if k == N or not np.isfinite(xy[k]).all():
+                break
             xs[k + 1] = model.A @ xs[k] + model.B @ u[k] + mode_star.Gq @ dk + ws[k]
-    return xs, ys, u, d, ws, vs, xhat0
+    return np.ascontiguousarray(xs), np.ascontiguousarray(ys), u, d, ws, vs, xhat0
 
 
 def simulate_plant(cfg: ScenarioConfig):

@@ -39,6 +39,23 @@ def brute_force_vertex_max(A, bounds):
     return best
 
 
+def vertex_max_one_shot(A, bounds):
+    """max ||A @ t||_2 over the sign vertices with the first sign fixed,
+    every vertex in one array: the same per-vertex arithmetic as
+    ``threshold_inf``'s enumeration branch, with no blocking."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(bounds, dtype=float)
+    cols = b.size
+    count = 1 << (cols - 1)
+    idx = np.arange(count, dtype=np.uint64)[:, None]
+    shifts = np.arange(cols - 1, dtype=np.uint64)[None, :]
+    signs = np.ones((count, cols))
+    signs[:, 1:] = 1.0 - 2.0 * ((idx >> shifts) & np.uint64(1))
+    verts = signs * b
+    vals = np.einsum("rc,vc->vr", A, verts)
+    return float(np.sqrt(np.max(np.sum(vals * vals, axis=1))))
+
+
 def riccati_difference_gain(Abar, C2, tol=1e-13, max_iter=200000):
     """Steady-state innovation gain by iterating the Riccati difference
     equation with identity weights (no algebraic solver involved).

@@ -6,6 +6,9 @@ contract (0 ok / 1 usage / 2 config / 3 all-eliminated / 4 not-certified /
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,23 @@ def test_nonfinite_measurement_exits_5_with_partial_trace(tmp_path, capsys):
     rows = read_rows(out)
     assert max(int(r["k"]) for r in rows) == step - 1
     assert all("nan" not in r.values() for r in rows)
+
+
+# ------------------------------------------------------------ start-up
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle: importing the CLI must not pull it in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, smio.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ config errors

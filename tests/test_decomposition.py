@@ -7,10 +7,13 @@ from conftest import random_instance
 from oracles import riccati_difference_gain
 from smio.decomposition import (
     ConservativeRadiusWarning,
+    DecompositionError,
     InfeasibleModeError,
     ModeDecomposition,
     RankAmbiguityError,
     SynthesisError,
+    _abar,
+    _m1_m2,
     decompose_mode,
     error_dynamics,
     synthesize_gains,
@@ -167,7 +170,7 @@ def test_benchmark_all_modes_stabilized(benchmark_model, benchmark_modes):
 
 
 def test_riccati_gain_matches_iteration_oracle(benchmark_model, benchmark_modes):
-    for mode in benchmark_modes[:2]:
+    for mode in benchmark_modes:
         dec = decompose_mode(benchmark_model, mode)
         gains = synthesize_gains(dec, benchmark_model)
         M1, M2 = gains.M1, gains.M2
@@ -175,6 +178,73 @@ def test_riccati_gain_matches_iteration_oracle(benchmark_model, benchmark_modes)
         Abar = (np.eye(5) - dec.G2 @ M2 @ dec.C2) @ At
         _P, K = riccati_difference_gain(Abar, dec.C2)
         assert np.linalg.norm(K - gains.Ltilde) <= 1e-7 * max(1.0, np.linalg.norm(K))
+
+
+def _scipy_gain(dec, model):
+    """Ltilde from scipy's Schur-based DARE solver, or None where scipy finds
+    no stabilizing gain; the same verdict rule as synthesize_gains."""
+    linalg = pytest.importorskip("scipy.linalg")
+    M1, M2 = _m1_m2(dec)
+    Abar = _abar(dec, M1, M2, model)
+    n, r = model.n, dec.residual_dim
+    try:
+        P = linalg.solve_discrete_are(Abar.T, dec.C2.T, np.eye(n), np.eye(r))
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    Lt = P @ dec.C2.T @ np.linalg.inv(dec.C2 @ P @ dec.C2.T + np.eye(r))
+    radius = np.max(np.abs(np.linalg.eigvals((np.eye(n) - Lt @ dec.C2) @ Abar)))
+    return Lt if radius < 1.0 else None
+
+
+def _compare_with_scipy(model, mode):
+    """Compare one hypothesis; returns False when it never reaches the solver."""
+    try:
+        dec = decompose_mode(model, mode)
+        _m1_m2(dec)
+    except DecompositionError:
+        return False
+    if dec.residual_dim == 0:
+        return False
+    ref = _scipy_gain(dec, model)
+    try:
+        got = synthesize_gains(dec, model).Ltilde
+    except SynthesisError:
+        got = None
+    assert (got is None) == (ref is None), (mode.id, ref is None)
+    if ref is not None:
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref), mode.id
+    return True
+
+
+def test_riccati_gain_matches_scipy_builtin(benchmark_model, benchmark_modes):
+    for mode in benchmark_modes:
+        assert _compare_with_scipy(benchmark_model, mode)
+
+
+def test_riccati_gain_matches_scipy_random():
+    # every hypothesis of each drawn plant, including those no gain stabilizes
+    compared = 0
+    for seed in range(200):
+        model, _bank = random_instance(np.random.default_rng(seed))
+        t_a, t_s = model.G.shape[1], model.H.shape[1]
+        for rho in range(t_a + t_s + 1):
+            for mode in enumerate_modes(t_a, t_s, rho, model.G, model.H):
+                compared += _compare_with_scipy(model, mode)
+    assert compared > 500
+
+
+def test_undetectable_unstable_mode_raises():
+    # the residual output sees only the stable state; the unstable one (1.5)
+    # is invisible to it, so no innovation gain can stabilize the error map
+    model = _tiny_model(
+        C=np.array([[0.0, 1.0]]), G=np.zeros((2, 0)), H=np.zeros((1, 0)),
+        A=np.diag([1.5, 0.4]),
+    )
+    (mode,) = enumerate_modes(0, 0, 0, model.G, model.H)
+    dec = decompose_mode(model, mode)
+    assert dec.residual_dim == 1
+    with pytest.raises(SynthesisError, match="Riccati synthesis failed"):
+        synthesize_gains(dec, model)
 
 
 def test_infeasible_mode_rejected():

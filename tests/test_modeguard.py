@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from smio import modeguard
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import enumerate_modes
 from smio.modeguard import (
@@ -36,6 +37,7 @@ from oracles import (
     hypercube_vertex_norm,
     scalar_tri_series_limit,
     stacked_blocks_direct,
+    vertex_max_one_shot,
 )
 
 
@@ -132,6 +134,23 @@ def test_threshold_inf_matches_brute_force():
         sm = StackedResidualModel(k=1, n=1, l=1, Aq_k=A, bounds=b)
         exact = brute_force_vertex_max(A, b)
         assert threshold_inf(sm) == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+def test_threshold_inf_blocked_walk_equals_one_shot(monkeypatch, chunk):
+    # the blocked walk must give the one-shot value bit for bit, whether the
+    # last block is full or partial and whatever the block count
+    if chunk is not None:
+        monkeypatch.setattr(modeguard, "_ENUM_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    col_range = (2, 11) if chunk is not None else (11, 17)
+    for _ in range(40):
+        rows = int(rng.integers(2, 5))
+        cols = int(rng.integers(*col_range))
+        A = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8, 3)
+        b = rng.uniform(0.1, 2.0, size=cols)
+        sm = StackedResidualModel(k=1, n=1, l=1, Aq_k=A, bounds=b)
+        assert threshold_inf(sm) == vertex_max_one_shot(A, b)
 
 
 def test_threshold_inf_relaxation_dominates_vertices():

@@ -580,6 +580,20 @@ def test_nonfinite_output_stops_the_run_with_a_fault():
             assert start <= w.lineno < start + len(lines), w
 
 
+def test_overflowing_plant_stops_stepping_without_warnings():
+    cfg = _overflowing_plant_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xs, ys = simulate_plant(cfg)
+        trace = run_pipeline(cfg)
+    assert trace.fault_kind == FAULT_NONFINITE
+    assert trace.fault_step == 194
+    # the state that overflowed is kept; nothing is stepped past it
+    assert np.isfinite(xs[:194]).all() and np.isfinite(ys[:194]).all()
+    assert not np.isfinite(ys[194]).all()
+    assert np.isnan(xs[195:]).all() and np.isnan(ys[195:]).all()
+
+
 # ------------------------------------------------------------ benchmark kit
 
 
