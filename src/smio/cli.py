@@ -46,11 +46,13 @@ from .modeguard import detectability_report
 from .sim import (
     ENUM_BUDGET_MAX,
     FAULT_NONFINITE,
+    HORIZON_MAX,
     RunTrace,
     ScenarioConfig,
     SimulationError,
     benchmark_scenario,
     build_bank,
+    check_horizon,
     run_pipeline,
     sinusoid_attack,
 )
@@ -243,6 +245,10 @@ def load_scenario(
         raise ConfigError("scenario block is missing required key 'true_mode'")
     if horizon is None:
         horizon = _integer(scen, "horizon", "scenario", 100)
+    try:
+        horizon = check_horizon(horizon)
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from exc
     if seed is None:
         seed = _integer(scen, "seed", "scenario", 0)
 
@@ -508,7 +514,10 @@ def _add_common(
         "--seed", type=int, default=seed_default, help="override the noise seed"
     )
     p.add_argument(
-        "--horizon", type=int, default=horizon_default, help="override the horizon"
+        "--horizon",
+        type=int,
+        default=horizon_default,
+        help=f"override the horizon (max {HORIZON_MAX})",
     )
     p.add_argument(
         "--inf-cutoff",

@@ -76,12 +76,14 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
-def _stacked_norm2(mats: list[np.ndarray]) -> list[float]:
-    """:func:`_norm2` of each of the equal-shape ``mats``, in one call."""
-    stack = np.stack(mats)
+def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
+    """:func:`_norm2` of each matrix ``stack[i]`` of a 3-D block, in one
+    LAPACK call: the singular values that ``np.linalg.norm(M, 2)`` takes
+    the largest of, without its per-call axis handling.  The tracker passes
+    each noise family's block of levels whole."""
     if not stack.size:
-        return [0.0] * len(mats)
-    return np.linalg.norm(stack, 2, axis=(1, 2)).tolist()
+        return np.zeros(stack.shape[0])
+    return np.linalg.svd(stack, compute_uv=False).max(axis=1)
 
 
 # --------------------------------------------------------------------- types
@@ -248,9 +250,12 @@ class ThresholdTracker:
     ``k_inf_cutoff``) the cached blocks needed to assemble the stacked
     residual map.  None of this depends on the measurements, so levels are
     computed ahead of the current level ``k`` in blocks whose size doubles
-    up to a fixed cap: each block takes each family's norms in one stacked
-    2-norm call, which costs far less than one call per matrix and gives
-    the same values.  The
+    up to a fixed cap.  Within a block only the powers are stepped one
+    level at a time; each family's products are one stacked matmul over
+    the block, its norms one stacked 2-norm call, and its running sums one
+    ``cumsum`` seeded with the previous total.  Each of these gives the
+    very floats of the one-level-at-a-time loop, at a fraction of its
+    per-call cost.  The
     :func:`build_stacked` / :func:`threshold_tri` functions are thin
     stateless wrappers over a throwaway tracker, so there is exactly one
     definition of the blocks in the package.
@@ -318,30 +323,33 @@ class ThresholdTracker:
         j0 = len(self._row_norm)
         size = self._block
         self._block = min(2 * size, self._BLOCK_CAP)
-        row = self._last_row
-        rows, wprod, bprod, mvprod = [], [], [], []
-        for j in range(j0, j0 + size):
-            row = self._C2A if j == 0 else row @ self._Ae
-            rows.append(row)
-            wprod.append(row @ self._Bew)
-            bprod.append(row @ self._Bev1)
-            mvprod.append(row @ self._Mv)
+        # the powers are sequential; np.dot gives row @ Ae's floats (the
+        # same BLAS call) with less call overhead
+        dot, Ae = np.dot, self._Ae
+        rows = np.empty((size,) + self._C2A.shape)
+        row = rows[0] = self._C2A if j0 == 0 else dot(self._last_row, Ae)
+        levels = [row]
+        for i in range(1, size):
+            row = rows[i] = dot(row, Ae)
+            levels.append(row)
         self._last_row = row
-        self._row_norm += _stacked_norm2(rows)
-        self._bev1_norm += _stacked_norm2(bprod)
-        prev_w = self._cum_w[-1] if self._cum_w else 0.0
-        prev_mv = self._cum_mv[-1] if self._cum_mv else 0.0
-        for nw, nmv in zip(_stacked_norm2(wprod), _stacked_norm2(mvprod)):
-            prev_w += nw
-            prev_mv += nmv
-            self._cum_w.append(prev_w)
-            self._cum_mv.append(prev_mv)
-        # the levels j <= k_inf_cutoff also feed stacked()
+        # one product per family: a stacked matmul multiplies level by
+        # level, as row @ B does
+        wprod, bprod, mvprod = rows @ self._Bew, rows @ self._Bev1, rows @ self._Mv
+        self._row_norm += _stacked_norm2(rows).tolist()
+        self._bev1_norm += _stacked_norm2(bprod).tolist()
+        for cum, prod in ((self._cum_w, wprod), (self._cum_mv, mvprod)):
+            # seeded with the previous total, cumsum adds left to right,
+            # so every running sum is the float a Python loop would give
+            terms = np.concatenate(([cum[-1] if cum else 0.0], _stacked_norm2(prod)))
+            cum += np.cumsum(terms)[1:].tolist()
+        # the levels j <= k_inf_cutoff also feed stacked(): their own row
+        # arrays, and copies of their products, so that no kept level pins
+        # its whole block
         keep = min(max(self.k_inf_cutoff + 1 - j0, 0), size)
-        self._rows += rows[:keep]
-        self._wprod += wprod[:keep]
-        self._bprod += bprod[:keep]
-        self._mvprod += mvprod[:keep]
+        self._rows += levels[:keep]
+        for kept, block in ((self._wprod, wprod), (self._bprod, bprod), (self._mvprod, mvprod)):
+            kept += [level.copy() for level in block[:keep]]
 
     def advance(self) -> tuple[float | None, float, float]:
         """Move to the next step and return (delta_inf, delta_tri, delta_hat)."""

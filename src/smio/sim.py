@@ -49,8 +49,10 @@ __all__ = [
     "ScenarioConfig",
     "RunTrace",
     "ENUM_BUDGET_MAX",
+    "HORIZON_MAX",
     "FAULT_ELIMINATED",
     "FAULT_NONFINITE",
+    "check_horizon",
     "sample_bounded",
     "simulate_plant",
     "build_bank",
@@ -67,6 +69,12 @@ __all__ = [
 # threshold level, ~0.5 M at 20, ~8 M at 24.
 ENUM_BUDGET_MAX = 20
 
+# Largest accepted horizon.  A run's arrays and its CSV text grow with the
+# horizon: on the built-in five-hypothesis plant ``run_pipeline`` holds about
+# 1.6 KB per step and writing the CSV about 6 KB more, so ``smio benchmark``
+# at the cap peaks at about 0.85 GB resident (and takes ~16 s).
+HORIZON_MAX = 100_000
+
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
 FAULT_NONFINITE = "nonfinite_output"
@@ -74,6 +82,18 @@ FAULT_NONFINITE = "nonfinite_output"
 
 class SimulationError(ValueError):
     """The scenario configuration is unusable."""
+
+
+def check_horizon(horizon: int) -> int:
+    """``horizon`` as an int; raises :class:`SimulationError` unless it is
+    in ``1..HORIZON_MAX``.  Callers check before building any array of
+    horizon length."""
+    horizon = int(horizon)
+    if horizon < 1:
+        raise SimulationError("horizon must be at least 1")
+    if horizon > HORIZON_MAX:
+        raise SimulationError(f"horizon must be at most {HORIZON_MAX}, got {horizon}")
+    return horizon
 
 
 def _opt_array(x, name, shape=None):
@@ -91,7 +111,8 @@ def _opt_array(x, name, shape=None):
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything one estimation run depends on.  Every array must be
-    finite, and ``enum_budget`` at most :data:`ENUM_BUDGET_MAX`."""
+    finite, ``horizon`` at most :data:`HORIZON_MAX`, and ``enum_budget`` at
+    most :data:`ENUM_BUDGET_MAX`."""
 
     model: SystemModel
     modes: tuple[ModeHypothesis, ...]
@@ -107,10 +128,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", check_horizon(self.horizon))
         object.__setattr__(self, "true_mode", int(self.true_mode))
-        if self.horizon < 1:
-            raise SimulationError("horizon must be at least 1")
         if self.enum_budget > ENUM_BUDGET_MAX:
             raise SimulationError(
                 f"enum_budget must be at most {ENUM_BUDGET_MAX}, got {self.enum_budget}"
@@ -615,15 +634,16 @@ def benchmark_scenario(
     bias: float = 2.0,
 ) -> ScenarioConfig:
     """The default benchmark scenario: persistent sparse attack, mode bank of 5."""
+    horizon = check_horizon(horizon)
     model = benchmark_model()
     modes = benchmark_modes(model)
     mode_star = next(m for m in modes if m.id == int(true_mode))
-    attack = sinusoid_attack(mode_star, int(horizon) + 1, amplitude, bias)
+    attack = sinusoid_attack(mode_star, horizon + 1, amplitude, bias)
     return ScenarioConfig(
         model=model,
         modes=tuple(modes),
         true_mode=int(true_mode),
-        horizon=int(horizon),
+        horizon=horizon,
         attack=attack,
         noise_seed=int(seed),
     )

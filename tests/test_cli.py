@@ -16,7 +16,7 @@ import pytest
 
 from smio import cli
 from smio.modeguard import eliminate
-from smio.sim import benchmark_model
+from smio.sim import HORIZON_MAX, benchmark_model
 
 
 # ----------------------------------------------------------------- fixtures
@@ -371,6 +371,30 @@ def test_enum_budget_above_cap_rejected(tmp_path, capsys):
     path = write_config(tmp_path, cfg, "tuned.json")
     assert cli.main(["simulate", "--config", path, "--out", out, "--horizon", "1"]) == 2
     assert "enum_budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_horizon_above_cap_rejected_before_allocating(tmp_path, capsys, command):
+    """A horizon far past HORIZON_MAX exits 2 naming the cap, instead of
+    failing to allocate horizon-sized arrays."""
+    out = str(tmp_path / "x.csv")
+    argv = [command, "--out", out, "--horizon", str(10**12)]
+    if command == "simulate":
+        cfg = pair_config()
+        cfg["attack"] = {"kind": "sinusoid"}
+        argv += ["--config", write_config(tmp_path, cfg)]
+    assert cli.main(argv) == 2
+    assert f"horizon must be at most {HORIZON_MAX}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_config_horizon_above_cap_rejected(tmp_path, capsys):
+    cfg = pair_config()
+    cfg["scenario"]["horizon"] = HORIZON_MAX + 1
+    cfg["attack"] = {"kind": "sinusoid"}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"horizon must be at most {HORIZON_MAX}" in capsys.readouterr().err
 
 
 def test_non_numeric_trajectory_bound_rejected_by_simulate(tmp_path, capsys):

@@ -29,6 +29,7 @@ from smio.modeguard import (
     tri_limit,
 )
 from smio.observer import SetEstimate, init_observer, step
+from smio.sim import build_bank
 
 from conftest import random_instance
 from oracles import (
@@ -563,6 +564,40 @@ def test_tracker_equals_per_level_reference_exactly():
                 got = tracker.advance()
                 assert got == _reference_advance(ref)[0], (seed, mode.id, k)
     assert {0, 1} <= dims and max(dims) >= 2
+
+
+def test_tracker_equals_per_level_reference_on_builtin_plant(benchmark_model, benchmark_modes):
+    """The same exact agreement on the built-in plant's five hypotheses for
+    k = 1..1000: four full 256-level blocks, and hypothesis 5's one-row
+    residual."""
+    with pytest.warns(UserWarning):
+        bank, excluded = build_bank(benchmark_model, benchmark_modes)
+    assert not excluded and len(bank) == 5
+    assert bank[5][1].residual_dim == 1
+    cutoff = 25
+    for q, (_mode, dec, _gains, dyn) in bank.items():
+        tracker = _tracker(benchmark_model, dec, dyn, cutoff)
+        ref = _per_level(benchmark_model, dec, dyn, cutoff)
+        for k in range(1, 1001):
+            got = tracker.advance()
+            expected, A = _reference_advance(ref)
+            assert got == expected, (q, k)
+            if k <= cutoff:
+                assert np.array_equal(tracker.stacked().Aq_k, A), (q, k)
+
+
+def test_tracker_kept_levels_pin_no_whole_block():
+    """The levels kept for stacked() hold their own rows only, not the block
+    of levels they were computed in."""
+    model, bank = random_instance(np.random.default_rng(91))
+    _mode, dec, _gains, dyn = bank[0]
+    cutoff = ThresholdTracker._BLOCK_CAP + 45
+    tracker = _tracker(model, dec, dyn, cutoff)
+    tracker.extend(4 * ThresholdTracker._BLOCK_CAP)
+    kept = [*tracker._rows, *tracker._wprod, *tracker._bprod, *tracker._mvprod]
+    assert len(kept) == 4 * (cutoff + 1)
+    held = {id(b): b.nbytes for b in (m if m.base is None else m.base for m in kept)}
+    assert sum(held.values()) == sum(m.nbytes for m in kept)
 
 
 @pytest.mark.parametrize("cutoff", [0, ThresholdTracker._BLOCK_CAP + 1, 1000])

@@ -1,5 +1,6 @@
 """Plant simulation, pipeline orchestration, and trace invariants."""
 
+import dataclasses
 import inspect
 import warnings
 
@@ -16,6 +17,7 @@ from smio.observer import init_observer, step
 from smio.sim import (
     FAULT_ELIMINATED,
     FAULT_NONFINITE,
+    HORIZON_MAX,
     RunTrace,
     ScenarioConfig,
     SimulationError,
@@ -129,6 +131,14 @@ def test_config_rejects_bad_horizon_and_mode():
         ScenarioConfig(model=model, modes=(mode,), true_mode=1, horizon=0)
     with pytest.raises(SimulationError, match="true mode"):
         ScenarioConfig(model=model, modes=(mode,), true_mode=9, horizon=5)
+
+
+def test_horizon_above_cap_rejected_before_the_attack_is_built():
+    with pytest.raises(SimulationError, match=f"at most {HORIZON_MAX}, got {10**12}"):
+        benchmark_scenario(horizon=10**12)
+    cfg = benchmark_scenario(horizon=5)
+    with pytest.raises(SimulationError, match=f"at most {HORIZON_MAX}"):
+        dataclasses.replace(cfg, horizon=HORIZON_MAX + 1)
 
 
 def test_config_rejects_mismatched_attack():
