@@ -42,7 +42,7 @@ from .model import (
     enumerate_modes,
     validate,
 )
-from .modeguard import detectability_report
+from .modeguard import ENUM_BUDGET_DEFAULT, K_INF_CUTOFF_DEFAULT, detectability_report
 from .sim import (
     ENUM_BUDGET_MAX,
     FAULT_NONFINITE,
@@ -222,6 +222,17 @@ def _build_attack(
         raise ConfigError(f"attack.values is unusable: {exc}") from exc
 
 
+def _read_config(path) -> tuple[dict, SystemModel, list[ModeHypothesis], dict]:
+    """``(document, model, modes, tuning)`` of a config file, each checked;
+    ``tuning`` is ``{}`` when the config has no such block."""
+    doc = load_config_document(path)
+    model = _build_model(doc)
+    modes = _build_modes(doc, model)
+    tuning = _require_dict(doc, "tuning", required=False) or {}
+    _reject_unknown(tuning, _TUNING_KEYS, "the 'tuning' block")
+    return doc, model, modes, tuning
+
+
 def load_scenario(
     path,
     seed: int | None = None,
@@ -234,10 +245,7 @@ def load_scenario(
     The keyword arguments are command-line overrides and win over the
     corresponding config values when given.
     """
-    doc = load_config_document(path)
-    model = _build_model(doc)
-    modes = _build_modes(doc, model)
-
+    doc, model, modes, tuning = _read_config(path)
     scen = _require_dict(doc, "scenario", required=True)
     _reject_unknown(scen, _SCENARIO_KEYS, "the 'scenario' block")
     true_mode = _integer(scen, "true_mode", "scenario")
@@ -252,12 +260,10 @@ def load_scenario(
     if seed is None:
         seed = _integer(scen, "seed", "scenario", 0)
 
-    tuning = _require_dict(doc, "tuning", required=False) or {}
-    _reject_unknown(tuning, _TUNING_KEYS, "the 'tuning' block")
     if k_inf_cutoff is None:
-        k_inf_cutoff = _integer(tuning, "k_inf_cutoff", "tuning", 25)
+        k_inf_cutoff = _integer(tuning, "k_inf_cutoff", "tuning", K_INF_CUTOFF_DEFAULT)
     if enum_budget is None:
-        enum_budget = _integer(tuning, "enum_budget", "tuning", 16)
+        enum_budget = _integer(tuning, "enum_budget", "tuning", ENUM_BUDGET_DEFAULT)
     # the trajectory bounds serve `smio analyze`; a simulation only checks them
     for key in ("R_x", "R_y"):
         _number(tuning, key, "tuning")
@@ -290,6 +296,11 @@ def load_scenario(
 # ----------------------------------------------------------------- trace CSV
 
 
+# Steps of the trace CSV formatted per write: bounds the nested lists and the
+# text held at once (about 6 KB per step on the built-in plant).
+_CSV_CHUNK = 1024
+
+
 def trace_header(n: int) -> list[str]:
     return (
         ["k", "mode_id", "r_norm", "delta_inf", "delta_tri", "delta_hat", "eliminated"]
@@ -317,46 +328,51 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     estimate columns) so every stream spans the recorded horizon.  The fused
     row carries only the surviving-mode count — the global estimate is the
     union of the per-mode balls already present in the same step's rows.
-    Rows end in CRLF, as :mod:`csv` writes them.
+    Rows end in CRLF, as :mod:`csv` writes them.  The text is formatted and
+    written :data:`_CSV_CHUNK` steps at a time.
     """
     n = trace.config.model.n
     steps, modes = trace.live.shape
-    k = np.arange(steps)
     active = [len(a) for a in trace.active_sets]
     elim_at = np.array([trace.eliminated_at[q] or steps for q in trace.mode_ids])
-
-    def column(values) -> np.ndarray:
-        return np.broadcast_to(np.asarray(values, dtype=float), (steps, modes))[:, :, None]
-
-    # every field of every mode row as one float table, (steps, modes, fields)
-    table = np.concatenate(
-        [
-            column(k[:, None]),
-            column(trace.mode_ids),
-            column(trace.r_norm),
-            column(trace.delta_inf),
-            column(trace.delta_tri),
-            column(trace.delta_hat),
-            column(k[:, None] >= elim_at),
-            trace.xhat,
-            column(trace.delta_x),
-            column(trace.delta_d),
-            column(np.array(active)[:, None]),
-        ],
-        axis=2,
-    ).tolist()
-    # which fields a row fills: residual test ran, delta_inf exists, delta_d exists
-    has_inf = trace.live & (k <= trace.config.k_inf_cutoff)[:, None]
-    key = (trace.live * 4 + has_inf * 2 + (k >= 1)[:, None]).tolist()
     formats = [_row_format(bool(c & 4), bool(c & 2), bool(c & 1), n) for c in range(8)]
     fused = "%d,fused" + "," * (n + 8) + "%d\r\n"
-    lines = [",".join(trace_header(n)) + "\r\n"]
-    for step in range(steps):
-        rows, codes = table[step], key[step]
-        lines += [formats[codes[i]] % tuple(rows[i]) for i in range(modes)]
-        lines.append(fused % (step, active[step]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(trace_header(n)) + "\r\n")
+        for start in range(0, steps, _CSV_CHUNK):
+            block = slice(start, min(start + _CSV_CHUNK, steps))
+            k = np.arange(block.start, block.stop)
+
+            def column(values) -> np.ndarray:
+                values = np.asarray(values, dtype=float)
+                return np.broadcast_to(values, (k.size, modes))[:, :, None]
+
+            # every field of every mode row as one float table, (steps, modes, fields)
+            table = np.concatenate(
+                [
+                    column(k[:, None]),
+                    column(trace.mode_ids),
+                    column(trace.r_norm[block]),
+                    column(trace.delta_inf[block]),
+                    column(trace.delta_tri[block]),
+                    column(trace.delta_hat[block]),
+                    column(k[:, None] >= elim_at),
+                    trace.xhat[block],
+                    column(trace.delta_x[block]),
+                    column(trace.delta_d[block]),
+                    column(np.array(active[block])[:, None]),
+                ],
+                axis=2,
+            ).tolist()
+            # which fields a row fills: residual test ran, delta_inf exists, delta_d exists
+            live = trace.live[block]
+            has_inf = live & (k <= trace.config.k_inf_cutoff)[:, None]
+            key = (live * 4 + has_inf * 2 + (k >= 1)[:, None]).tolist()
+            lines = []
+            for step, rows, codes in zip(k.tolist(), table, key):
+                lines += [formats[codes[i]] % tuple(rows[i]) for i in range(modes)]
+                lines.append(fused % (step, active[step]))
+            fh.write("".join(lines))
 
 
 def summary_document(trace: RunTrace) -> dict:
@@ -447,11 +463,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    doc = load_config_document(args.config)
-    model = _build_model(doc)
-    modes = _build_modes(doc, model)
-    tuning = _require_dict(doc, "tuning", required=False) or {}
-    _reject_unknown(tuning, _TUNING_KEYS, "the 'tuning' block")
+    _doc, model, modes, tuning = _read_config(args.config)
     R_x = args.rx if args.rx is not None else _number(tuning, "R_x", "tuning")
     R_y = args.ry if args.ry is not None else _number(tuning, "R_y", "tuning")
     if (R_x is None) != (R_y is None):
@@ -523,13 +535,13 @@ def _add_common(
         "--inf-cutoff",
         type=int,
         default=None,
-        help="last step with the enumerated threshold (default 25)",
+        help=f"last step with the enumerated threshold (default {K_INF_CUTOFF_DEFAULT})",
     )
     p.add_argument(
         "--enum-budget",
         type=int,
         default=None,
-        help=f"max free-sign bits for exact vertex enumeration (default 16, max {ENUM_BUDGET_MAX})",
+        help=f"max free-sign bits for exact vertex enumeration (default {ENUM_BUDGET_DEFAULT}, max {ENUM_BUDGET_MAX})",
     )
 
 
@@ -588,10 +600,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"smio {args.command}: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
+    except (ConfigError, SimulationError) as exc:
         print(f"smio {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

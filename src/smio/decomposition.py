@@ -68,6 +68,10 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
+def _spectral_radius(M: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(M)))) if M.size else 0.0
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)
@@ -161,7 +165,7 @@ class ErrorDynamics:
 
     @property
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.Ae)))) if self.Ae.size else 0.0
+        return _spectral_radius(self.Ae)
 
 
 def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecomposition:
@@ -222,13 +226,15 @@ def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecompositio
     )
 
 
-def _phi(dec: ModeDecomposition, M2: np.ndarray, n: int) -> np.ndarray:
-    return np.eye(n) - dec.G2 @ M2 @ dec.C2
-
-
-def _abar(dec: ModeDecomposition, M1: np.ndarray, M2: np.ndarray, model: SystemModel) -> np.ndarray:
+def _abar(
+    dec: ModeDecomposition, M1: np.ndarray, M2: np.ndarray, model: SystemModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Phi, At, Abar)``: the state-side inversion ``Phi = I - G2 M2 C2``,
+    the prediction map ``At = A - G1 M1 C1`` and the pre-correction error
+    map ``Abar = Phi At``."""
+    Phi = np.eye(model.n) - dec.G2 @ M2 @ dec.C2
     At = model.A - dec.G1 @ M1 @ dec.C1
-    return _phi(dec, M2, model.n) @ At
+    return Phi, At, Phi @ At
 
 
 def _m1_m2(dec: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +299,7 @@ def synthesize_gains(
     checks out, and rejected with the computed radius otherwise.
     """
     M1, M2 = _m1_m2(dec)
-    Abar = _abar(dec, M1, M2, model)
+    Abar = _abar(dec, M1, M2, model)[2]
     n = model.n
     rdim = dec.C2.shape[0]
 
@@ -303,36 +309,22 @@ def synthesize_gains(
             raise SynthesisError(
                 f"override gain must have shape ({n}, {rdim}); got {Lt.shape}"
             )
-        Ae = (np.eye(n) - Lt @ dec.C2) @ Abar
-        radius = float(np.max(np.abs(np.linalg.eigvals(Ae)))) if n else 0.0
-        if radius >= 1.0:
-            raise SynthesisError(
-                f"override gain rejected: closed-loop spectral radius {radius:.6f} >= 1",
-                radius=radius,
-            )
-        return ObserverGains(M1=M1, M2=M2, Ltilde=Lt)
-
-    if rdim == 0:
+        failure = "override gain rejected: closed-loop spectral radius {:.6f} >= 1"
+    elif rdim == 0:
         # no residual outputs to correct with; the open map must already be stable
-        radius = float(np.max(np.abs(np.linalg.eigvals(Abar)))) if n else 0.0
-        if radius >= 1.0:
-            raise SynthesisError(
-                "mode has no attack-free output direction and its open error map "
-                f"is unstable (spectral radius {radius:.6f})",
-                radius=radius,
-            )
-        return ObserverGains(M1=M1, M2=M2, Ltilde=np.zeros((n, 0)))
-
-    P = _filter_dare(Abar, dec.C2)
-    S = dec.C2 @ P @ dec.C2.T + np.eye(rdim)
-    Lt = P @ dec.C2.T @ np.linalg.inv(S)
-    Ae = (np.eye(n) - Lt @ dec.C2) @ Abar
-    radius = float(np.max(np.abs(np.linalg.eigvals(Ae))))
-    if radius >= 1.0:
-        raise SynthesisError(
-            f"Riccati gain failed to stabilize: spectral radius {radius:.6f} >= 1",
-            radius=radius,
+        Lt = np.zeros((n, 0))
+        failure = (
+            "mode has no attack-free output direction and its open error map "
+            "is unstable (spectral radius {:.6f})"
         )
+    else:
+        P = _filter_dare(Abar, dec.C2)
+        S = dec.C2 @ P @ dec.C2.T + np.eye(rdim)
+        Lt = P @ dec.C2.T @ np.linalg.inv(S)
+        failure = "Riccati gain failed to stabilize: spectral radius {:.6f} >= 1"
+    radius = _spectral_radius((np.eye(n) - Lt @ dec.C2) @ Abar)
+    if radius >= 1.0:
+        raise SynthesisError(failure.format(radius), radius=radius)
     return ObserverGains(M1=M1, M2=M2, Ltilde=Lt)
 
 
@@ -346,11 +338,8 @@ def error_dynamics(
     norm-based radius recursion then grows without reflecting the true
     error.
     """
-    n = model.n
-    Phi = _phi(dec, gains.M2, n)
-    At = model.A - dec.G1 @ gains.M1 @ dec.C1
-    Abar = Phi @ At
-    IL = np.eye(n) - gains.Ltilde @ dec.C2
+    Phi, At, Abar = _abar(dec, gains.M1, gains.M2, model)
+    IL = np.eye(model.n) - gains.Ltilde @ dec.C2
     Ae = IL @ Abar
     Bew_star = Phi
     G1M1T1 = dec.G1 @ gains.M1 @ dec.T1

@@ -10,7 +10,8 @@ per-step vertex bound over the noise hypercube and a closed-form triangle
 bound driven by the error dynamics — and their minimum is the operative
 test.  All block matrices come from one shared incremental generator
 (:class:`ThresholdTracker`) so the stacked map, the triangle bound, and
-their asymptotics can never drift apart.
+their asymptotics can never drift apart: :func:`tri_limit` reads the
+tracker's first two levels and its boundary norms.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import ErrorDynamics, ModeDecomposition
+from .decomposition import ErrorDynamics, ModeDecomposition, _norm2
 from .model import SystemModel
 from .observer import SetEstimate
 
 __all__ = [
+    "K_INF_CUTOFF_DEFAULT",
+    "ENUM_BUDGET_DEFAULT",
     "ResidualRecord",
     "StackedResidualModel",
     "GlobalEstimate",
@@ -67,13 +70,14 @@ class UnsupportedPairError(ValueError):
     """A cross-mode computation was requested for modes whose residual dimensions differ."""
 
 
+# Default tuning: the last level with the enumerated threshold, and the most
+# stacked-map columns whose sign vertices are enumerated exactly.
+K_INF_CUTOFF_DEFAULT = 25
+ENUM_BUDGET_DEFAULT = 16
+
 # Sign vertices evaluated per block in threshold_inf: bounds the temporaries
 # (block * (2c + r) floats) whatever the column count c.
 _ENUM_CHUNK = 2048
-
-
-def _norm2(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
 def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
@@ -257,8 +261,9 @@ class ThresholdTracker:
     very floats of the one-level-at-a-time loop, at a fraction of its
     per-call cost.  The
     :func:`build_stacked` / :func:`threshold_tri` functions are thin
-    stateless wrappers over a throwaway tracker, so there is exactly one
-    definition of the blocks in the package.
+    stateless wrappers over a throwaway tracker, and :func:`tri_limit`
+    reads the first two levels and the boundary norms of one, so there is
+    exactly one definition of the blocks in the package.
     """
 
     # Largest block of levels computed at once; bounds the temporary stacks.
@@ -271,8 +276,8 @@ class ThresholdTracker:
         eta_w: float = 0.0,
         eta_v: float = 0.0,
         delta_x0: float = 0.0,
-        k_inf_cutoff: int = 25,
-        enum_budget: int = 16,
+        k_inf_cutoff: int = K_INF_CUTOFF_DEFAULT,
+        enum_budget: int = ENUM_BUDGET_DEFAULT,
     ):
         self.eta_w = float(eta_w)
         self.eta_v = float(eta_v)
@@ -431,7 +436,7 @@ def build_stacked(
     return tracker.stacked()
 
 
-def threshold_inf(sm: StackedResidualModel, enum_budget: int = 16) -> float:
+def threshold_inf(sm: StackedResidualModel, enum_budget: int = ENUM_BUDGET_DEFAULT) -> float:
     """Upper bound on max ||Aq_k t||_2 over the bounding hypercube.
 
     Exact for a single-row map (weighted absolute sum) and under exact
@@ -485,24 +490,19 @@ def tri_limit(errdyn: ErrorDynamics, dec: ModeDecomposition, eta_w: float, eta_v
     """Closed-form limit of the triangle threshold as k grows (needs theta < 1).
 
     Geometric-series bound on the two norm sums; for scalar systems every
-    norm is multiplicative and the value is the exact series limit.
+    norm is multiplicative and the value is the exact series limit.  Every
+    norm it needs is one a tracker holds after its levels 0 and 1.
     """
     theta = errdyn.theta
     if theta >= 1.0:
         raise DivergenceError(
             f"triangle threshold has no finite limit: theta = ||Ae||_2 = {theta:.6f} >= 1"
         )
-    C2 = dec.C2
-    C2A = C2 @ errdyn.Abar
-    C2AAe = C2A @ errdyn.Ae
-    Mv = errdyn.Bev1 + errdyn.Ae @ errdyn.Bev2
-    s_w = _norm2(C2A @ errdyn.Bew) + _norm2(C2AAe) * _norm2(errdyn.Bew) / (1.0 - theta)
-    s_v = _norm2(C2A @ Mv) + _norm2(C2AAe) * _norm2(Mv) / (1.0 - theta)
-    return eta_w * (_norm2(C2 @ errdyn.Bew_star) + s_w) + eta_v * (
-        s_v
-        + _norm2(C2 @ (errdyn.Bev1_star + errdyn.Abar @ errdyn.Bev2))
-        + _norm2(C2 @ errdyn.Bev2_star + dec.T2)
-    )
+    t = ThresholdTracker(errdyn, dec, k_inf_cutoff=0)
+    t.extend(2)
+    s_w = t._cum_w[0] + t._row_norm[1] * errdyn.w_gain / (1.0 - theta)
+    s_v = t._cum_mv[0] + t._row_norm[1] * _norm2(t._Mv) / (1.0 - theta)
+    return eta_w * (t._nw_last + s_w) + eta_v * (s_v + t._nv_prev + t._nv_last)
 
 
 def eta_t(k: int, n: int, l: int, delta_x0: float, eta_w: float, eta_v: float) -> float:

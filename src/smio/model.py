@@ -51,7 +51,7 @@ class DegenerateModeWarning(UserWarning):
     """A structural check degraded to a conservative answer; details in the message."""
 
 
-def _frozen(x, name: str) -> np.ndarray:
+def _frozen(x) -> np.ndarray:
     arr = np.array(x, dtype=float)
     arr.setflags(write=False)
     return arr
@@ -85,7 +85,7 @@ class SystemModel:
 
     def __post_init__(self) -> None:
         for name in ("A", "B", "C", "D", "G", "H"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         for name in ("eta_w", "eta_v", "delta_x0"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -133,19 +133,11 @@ class ModeHypothesis:
         object.__setattr__(self, "actuator_set", tuple(int(i) for i in self.actuator_set))
         object.__setattr__(self, "sensor_set", tuple(int(i) for i in self.sensor_set))
         for name in ("IG", "IH", "Gq", "Hq"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def rho(self) -> int:
         return self.IG.shape[1]
-
-    @property
-    def rho_a(self) -> int:
-        return len(self.actuator_set)
-
-    @property
-    def rho_s(self) -> int:
-        return len(self.sensor_set)
 
     def __str__(self) -> str:
         acts = ",".join(map(str, self.actuator_set)) or "-"

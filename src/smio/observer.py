@@ -122,16 +122,17 @@ def init_observer(xhat0, delta_x0: float) -> ObserverState:
 
 
 def _stages(dec, gains, model, x, u_prev, y_prev, u, y):
-    """``(xhat_pred, xhat_star, dhat_prev, xhat_kk)`` from the previous
-    estimate ``x``, stage by stage.  Every argument is one vector, or one
-    row per step for a whole horizon."""
+    """``(xhat_pred, xhat_star, dhat_prev, xhat_kk, r)`` from the previous
+    estimate ``x``, stage by stage; ``r = T2 y - C2 xhat_star - D2 u`` is
+    the innovation, which is also the mode's residual.  Every argument is
+    one vector, or one row per step for a whole horizon."""
     d1 = (y_prev @ dec.T1.T - x @ dec.C1.T - u_prev @ dec.D1.T) @ gains.M1.T
     xpred = x @ model.A.T + u_prev @ model.B.T + d1 @ dec.G1.T
     z2 = y @ dec.T2.T
     d2 = (z2 - xpred @ dec.C2.T - u @ dec.D2.T) @ gains.M2.T
     xstar = xpred + d2 @ dec.G2.T
-    xkk = xstar + (z2 - xstar @ dec.C2.T - u @ dec.D2.T) @ gains.Ltilde.T
-    return xpred, xstar, d1 @ dec.V1.T + d2 @ dec.V2.T, xkk
+    r = z2 - xstar @ dec.C2.T - u @ dec.D2.T
+    return xpred, xstar, d1 @ dec.V1.T + d2 @ dec.V2.T, xstar + r @ gains.Ltilde.T, r
 
 
 def _times(coeff: float, radius: float) -> float:
@@ -191,7 +192,7 @@ def step(
         )
 
     x, data = state.xhat_kk, (state.u_prev, state.y_prev, u, y)
-    xpred, xstar, dhat, _ = _stages(dec, gains, model, x, *data)
+    xpred, xstar, dhat, _, _ = _stages(dec, gains, model, x, *data)
     drive = _stages(dec, gains, model, np.zeros_like(x), *data)[3]
     delta_x, delta_d = _radii(errdyn, model.eta_w, model.eta_v, state.delta_x)
     return ObserverState(
@@ -210,13 +211,15 @@ def step(
 @dataclass(frozen=True, eq=False)
 class HorizonEstimates:
     """One observer's estimates at steps 0..N, one row per step, as
-    :func:`step` would produce them; row 0 holds the initial guess (and
-    NaN for the input estimate, which does not exist yet)."""
+    :func:`step` would produce them, and its residual ``T2 y_k - C2
+    xhat_star - D2 u_k``; row 0 holds the initial guess (and NaN for the
+    input estimate and the residual, which do not exist yet)."""
 
     xhat_kk: np.ndarray = field(repr=False)
     xhat_pred: np.ndarray = field(repr=False)
     xhat_star: np.ndarray = field(repr=False)
     dhat_prev: np.ndarray = field(repr=False)
+    residual: np.ndarray = field(repr=False)
 
 
 def run_observer(
@@ -248,10 +251,13 @@ def run_observer(
     xpred = np.empty_like(xkk)
     xstar = np.empty_like(xkk)
     dhat = np.empty((steps, dec.V1.shape[0]))
+    r = np.empty((steps, dec.T2.shape[0]))
     xpred[0] = xstar[0] = xkk[0]
-    dhat[0] = np.nan
-    xpred[1:], xstar[1:], dhat[1:], _ = _stages(dec, gains, model, xkk[:-1], *data)
-    return HorizonEstimates(xhat_kk=xkk, xhat_pred=xpred, xhat_star=xstar, dhat_prev=dhat)
+    dhat[0] = r[0] = np.nan
+    xpred[1:], xstar[1:], dhat[1:], _, r[1:] = _stages(dec, gains, model, xkk[:-1], *data)
+    return HorizonEstimates(
+        xhat_kk=xkk, xhat_pred=xpred, xhat_star=xstar, dhat_prev=dhat, residual=r
+    )
 
 
 def radius_sequence(

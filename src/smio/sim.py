@@ -6,7 +6,8 @@ before the bank runs, each observer is a fixed affine recursion, its radii
 and thresholds do not depend on the data, and eliminating one hypothesis
 never changes another's estimates.  Per mode, the data drive of every step
 is one matrix product, the state recursion one n-by-n product per step,
-and the residuals one product; the threshold tracker is walked only up to
+and the observer's stages, whose innovation is the residual, one product
+each; the threshold tracker is walked only up to
 the first step whose residual test eliminates the mode.  The run records
 everything in a replayable trace of arrays.  Noise is drawn uniformly from
 the 2-norm balls the bounds describe, so runs exercise the constraint set
@@ -35,6 +36,8 @@ from .model import (
     enumerate_modes,
 )
 from .modeguard import (
+    ENUM_BUDGET_DEFAULT,
+    K_INF_CUTOFF_DEFAULT,
     GlobalEstimate,
     ResidualRecord,
     ThresholdTracker,
@@ -69,10 +72,11 @@ __all__ = [
 # threshold level, ~0.5 M at 20, ~8 M at 24.
 ENUM_BUDGET_MAX = 20
 
-# Largest accepted horizon.  A run's arrays and its CSV text grow with the
-# horizon: on the built-in five-hypothesis plant ``run_pipeline`` holds about
-# 1.6 KB per step and writing the CSV about 6 KB more, so ``smio benchmark``
-# at the cap peaks at about 0.85 GB resident (and takes ~16 s).
+# Largest accepted horizon.  A run's arrays grow with the horizon: on the
+# built-in five-hypothesis plant ``run_pipeline`` holds about 1.6 KB per step,
+# and writing the CSV, a block of steps at a time, adds about 8 MB whatever
+# the horizon, so ``smio benchmark`` at the cap peaks at about 0.2 GB resident
+# (and takes ~16 s).
 HORIZON_MAX = 100_000
 
 # RunTrace.fault_kind values
@@ -123,8 +127,8 @@ class ScenarioConfig:
     noise_seed: int = 0
     xhat0: np.ndarray | None = field(default=None, repr=False)
     x0: np.ndarray | None = field(default=None, repr=False)
-    k_inf_cutoff: int = 25
-    enum_budget: int = 16
+    k_inf_cutoff: int = K_INF_CUTOFF_DEFAULT
+    enum_budget: int = ENUM_BUDGET_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -440,11 +444,9 @@ def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0, out: dict) -> t
         ("dhat", est.dhat_prev),
     ):
         out[name][:] = rows
+    r = est.residual  # the observer's innovation, one row per step
     del est
     xstar = out["xhat_star"]
-    # r_k = T2 y_k - C2 xhat_star - D2 u_k, as residual() forms it
-    r = np.full((steps + 1, dec.T2.shape[0]), np.nan)
-    r[1:] = y[1:] @ dec.T2.T - xstar[1:] @ dec.C2.T - u[1:] @ dec.D2.T
     r_norm = out["r_norm"]
     r_norm[1:] = np.linalg.norm(r[1:], axis=1)
     tracker = ThresholdTracker(

@@ -16,7 +16,7 @@ import pytest
 
 from smio import cli
 from smio.modeguard import eliminate
-from smio.sim import HORIZON_MAX, benchmark_model
+from smio.sim import HORIZON_MAX, benchmark_model, run_pipeline
 
 
 # ----------------------------------------------------------------- fixtures
@@ -115,6 +115,23 @@ def test_csv_uses_crlf_and_17_digit_floats(tmp_path):
     # 17 significant digits round-trip float64 exactly
     val = rows[6]["delta_tri"]
     assert val == "%.17g" % float(val)
+
+
+def test_csv_block_size_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
+    # one step per block, a partial last block, and one block for the whole
+    # trace must write the same file; the attacked run eliminates mode 2, so
+    # the blocks also cross frozen rows and the enumerated-threshold cutoff
+    path = write_config(tmp_path, with_constant_attack(pair_config()))
+    trace = run_pipeline(cli.load_scenario(path))
+    assert trace.eliminated_at[2] is not None
+    assert trace.steps_recorded > trace.config.k_inf_cutoff
+    written = []
+    for chunk in (1, 7, trace.steps_recorded + 10):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        out = tmp_path / f"chunk_{chunk}.csv"
+        cli.write_trace_csv(trace, out)
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 # ----------------------------------------------------------------- simulate

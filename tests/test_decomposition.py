@@ -185,7 +185,7 @@ def _scipy_gain(dec, model):
     no stabilizing gain; the same verdict rule as synthesize_gains."""
     linalg = pytest.importorskip("scipy.linalg")
     M1, M2 = _m1_m2(dec)
-    Abar = _abar(dec, M1, M2, model)
+    Abar = _abar(dec, M1, M2, model)[2]
     n, r = model.n, dec.residual_dim
     try:
         P = linalg.solve_discrete_are(Abar.T, dec.C2.T, np.eye(n), np.eye(r))
@@ -274,8 +274,10 @@ def test_no_residual_direction_needs_stable_open_map():
 
     unstable = _tiny_model(C=C, G=np.zeros((2, 0)), H=H, A=np.diag([1.5, 0.4]), n=2)
     dec_u = decompose_mode(unstable, mode)
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="no attack-free output direction") as err:
         synthesize_gains(dec_u, unstable)
+    assert err.value.radius >= 1.0
+    assert f"(spectral radius {err.value.radius:.6f})" in str(err.value)
 
 
 # ------------------------------------------------------------ error dynamics
