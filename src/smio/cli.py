@@ -329,11 +329,13 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     row carries only the surviving-mode count — the global estimate is the
     union of the per-mode balls already present in the same step's rows.
     Rows end in CRLF, as :mod:`csv` writes them.  The text is formatted and
-    written :data:`_CSV_CHUNK` steps at a time.
+    written :data:`_CSV_CHUNK` steps at a time; within a chunk, each run of
+    consecutive steps whose rows fill the same fields is formatted by one
+    ``%`` over one format repeated for the run.
     """
     n = trace.config.model.n
     steps, modes = trace.live.shape
-    active = [len(a) for a in trace.active_sets]
+    active = np.array([len(a) for a in trace.active_sets])
     elim_at = np.array([trace.eliminated_at[q] or steps for q in trace.mode_ids])
     formats = [_row_format(bool(c & 4), bool(c & 2), bool(c & 1), n) for c in range(8)]
     fused = "%d,fused" + "," * (n + 8) + "%d\r\n"
@@ -360,19 +362,20 @@ def write_trace_csv(trace: RunTrace, path) -> None:
                     trace.xhat[block],
                     column(trace.delta_x[block]),
                     column(trace.delta_d[block]),
-                    column(np.array(active[block])[:, None]),
+                    column(active[block][:, None]),
                 ],
                 axis=2,
-            ).tolist()
+            )
+            # one row of values per step: its mode rows, then its fused row
+            values = np.hstack([table.reshape(k.size, -1), k[:, None], active[block][:, None]])
             # which fields a row fills: residual test ran, delta_inf exists, delta_d exists
             live = trace.live[block]
             has_inf = live & (k <= trace.config.k_inf_cutoff)[:, None]
-            key = (live * 4 + has_inf * 2 + (k >= 1)[:, None]).tolist()
-            lines = []
-            for step, rows, codes in zip(k.tolist(), table, key):
-                lines += [formats[codes[i]] % tuple(rows[i]) for i in range(modes)]
-                lines.append(fused % (step, active[step]))
-            fh.write("".join(lines))
+            key = live * 4 + has_inf * 2 + (k >= 1)[:, None]
+            edges = [0, *(np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1).tolist(), k.size]
+            for a, b in zip(edges, edges[1:]):
+                fmt = "".join(formats[c] for c in key[a].tolist()) + fused
+                fh.write((fmt * (b - a)) % tuple(values[a:b].ravel().tolist()))
 
 
 def summary_document(trace: RunTrace) -> dict:

@@ -39,7 +39,6 @@ __all__ = [
     "UnsupportedPairError",
     "residual",
     "residual_scale",
-    "residual_conditioned",
     "build_stacked",
     "threshold_inf",
     "threshold_tri",
@@ -84,10 +83,17 @@ def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
     """:func:`_norm2` of each matrix ``stack[i]`` of a 3-D block, in one
     LAPACK call: the singular values that ``np.linalg.norm(M, 2)`` takes
     the largest of, without its per-call axis handling.  The tracker passes
-    each noise family's block of levels whole."""
-    if not stack.size:
-        return np.zeros(stack.shape[0])
-    return np.linalg.svd(stack, compute_uv=False).max(axis=1)
+    each noise family's block of levels whole.  Only the matrices with a
+    nonzero entry go to LAPACK: an all-zero matrix's 2-norm is +0.0 whatever
+    the signs of its zeros, and the others' singular values do not depend
+    on which matrices share the call."""
+    nonzero = stack.any(axis=(1, 2))
+    if nonzero.all():
+        return np.linalg.svd(stack, compute_uv=False).max(axis=1)
+    norms = np.zeros(stack.shape[0])
+    if nonzero.any():
+        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False).max(axis=1)
+    return norms
 
 
 # --------------------------------------------------------------------- types
@@ -207,6 +213,7 @@ class DetectabilityReport:
 # ----------------------------------------------------------------- residuals
 
 
+# bench/layers.py hooks this; it can go only once the benchmark is mended (ROADMAP item 1).
 def residual(dec: ModeDecomposition, xhat_star, u_k, y_k) -> np.ndarray:
     """r_k = T2 y_k - C2 xhat_star - D2 u_k on the attack-free output directions."""
     xhat_star = np.asarray(xhat_star, dtype=float).reshape(-1)
@@ -220,26 +227,6 @@ def residual_scale(dec: ModeDecomposition, xhat_star, u_k, y_k) -> float:
     the terms :func:`residual` subtracts, which bounds its rounding error."""
     terms = (dec.T2 @ y_k, dec.C2 @ xhat_star, dec.D2 @ u_k)
     return float(sum(np.linalg.norm(t) for t in terms))
-
-
-def residual_conditioned(
-    dec_q: ModeDecomposition, dec_qstar: ModeDecomposition, xhat_star_q, u_k, y_k
-) -> np.ndarray:
-    """The mode-q residual re-based on the true mode's attack-free directions.
-
-    Subtracting this from :func:`residual` isolates the cross-mode output
-    rotation: ``residual(...) - residual_conditioned(...)`` equals
-    ``(T2_q - T2_qstar) @ y_k`` exactly.  Only defined when both modes have
-    the same residual dimension.
-    """
-    if dec_q.residual_dim != dec_qstar.residual_dim:
-        raise UnsupportedPairError(
-            f"residual dimensions differ ({dec_q.residual_dim} vs {dec_qstar.residual_dim})"
-        )
-    xhat_star_q = np.asarray(xhat_star_q, dtype=float).reshape(-1)
-    u_k = np.asarray(u_k, dtype=float).reshape(-1)
-    y_k = np.asarray(y_k, dtype=float).reshape(-1)
-    return dec_qstar.T2 @ y_k - dec_q.C2 @ xhat_star_q - dec_q.D2 @ u_k
 
 
 # ------------------------------------------------------- incremental tracker
@@ -259,7 +246,16 @@ class ThresholdTracker:
     the block, its norms one stacked 2-norm call, and its running sums one
     ``cumsum`` seeded with the previous total.  Each of these gives the
     very floats of the one-level-at-a-time loop, at a fraction of its
-    per-call cost.  The
+    per-call cost.  A stable error map drives the rows to exact zeros (on
+    the built-in plant from level 248 on); once a block ends in an all-zero
+    row, every later level is zero too, because ``0 @ Ae`` is exactly 0 for
+    a finite ``Ae``, so later blocks only append zero norms and repeat the
+    running totals, with no product and no 2-norm call.
+
+    :meth:`advance` gives one step's thresholds, with the enumerated one
+    up to ``k_inf_cutoff``; past it, :meth:`advance_tri` gives a block of
+    steps' triangle thresholds as one array, from the same expression
+    (:meth:`_tri`) that :meth:`threshold_tri` evaluates.  The
     :func:`build_stacked` / :func:`threshold_tri` functions are thin
     stateless wrappers over a throwaway tracker, and :func:`tri_limit`
     reads the first two levels and the boundary norms of one, so there is
@@ -315,6 +311,7 @@ class ThresholdTracker:
         self._cum_w: list[float] = []
         self._cum_mv: list[float] = []
         self._bev1_norm: list[float] = []
+        self._zero_tail = False  # every level from the next block on is zero
 
     def extend(self, levels: int = 1) -> None:
         """Move ``levels`` steps ahead, growing the row family C2*Abar*Ae^j
@@ -328,6 +325,13 @@ class ThresholdTracker:
         j0 = len(self._row_norm)
         size = self._block
         self._block = min(2 * size, self._BLOCK_CAP)
+        # the levels j <= k_inf_cutoff also feed stacked(): their own row
+        # arrays, and copies of their products, so that no kept level pins
+        # its whole block
+        keep = min(max(self.k_inf_cutoff + 1 - j0, 0), size)
+        if self._zero_tail:
+            self._zero_block(size, keep)
+            return
         # the powers are sequential; np.dot gives row @ Ae's floats (the
         # same BLAS call) with less call overhead
         dot, Ae = np.dot, self._Ae
@@ -338,6 +342,11 @@ class ThresholdTracker:
             row = rows[i] = dot(row, Ae)
             levels.append(row)
         self._last_row = row
+        # an all-zero row has all-zero successors and products only when
+        # the matrices it meets are finite (0 * inf is NaN)
+        self._zero_tail = not row.any() and all(
+            np.isfinite(M).all() for M in (Ae, self._Bew, self._Bev1, self._Mv)
+        )
         # one product per family: a stacked matmul multiplies level by
         # level, as row @ B does
         wprod, bprod, mvprod = rows @ self._Bew, rows @ self._Bev1, rows @ self._Mv
@@ -348,13 +357,26 @@ class ThresholdTracker:
             # so every running sum is the float a Python loop would give
             terms = np.concatenate(([cum[-1] if cum else 0.0], _stacked_norm2(prod)))
             cum += np.cumsum(terms)[1:].tolist()
-        # the levels j <= k_inf_cutoff also feed stacked(): their own row
-        # arrays, and copies of their products, so that no kept level pins
-        # its whole block
-        keep = min(max(self.k_inf_cutoff + 1 - j0, 0), size)
         self._rows += levels[:keep]
         for kept, block in ((self._wprod, wprod), (self._bprod, bprod), (self._mvprod, mvprod)):
             kept += [level.copy() for level in block[:keep]]
+
+    def _zero_block(self, size: int, keep: int) -> None:
+        """The next ``size`` levels after an all-zero row: every row and
+        product is zero, so each norm is 0.0 and each running sum keeps its
+        total, the floats the stepped block would give."""
+        self._row_norm += [0.0] * size
+        self._bev1_norm += [0.0] * size
+        self._cum_w += [self._cum_w[-1]] * size
+        self._cum_mv += [self._cum_mv[-1]] * size
+        r = self._C2A.shape[0]
+        for kept, cols in (
+            (self._rows, self._n),
+            (self._wprod, self._Bew.shape[1]),
+            (self._bprod, self._Bev1.shape[1]),
+            (self._mvprod, self._Mv.shape[1]),
+        ):
+            kept += [np.zeros((r, cols)) for _ in range(keep)]
 
     def advance(self) -> tuple[float | None, float, float]:
         """Move to the next step and return (delta_inf, delta_tri, delta_hat)."""
@@ -365,23 +387,58 @@ class ThresholdTracker:
             return dinf, dtri, min(dinf, dtri)
         return None, dtri, dtri
 
+    def advance_tri(self, levels: int) -> np.ndarray:
+        """Move ``levels`` steps ahead, all past ``k_inf_cutoff``, and return
+        the triangle threshold of each step passed, as one array: the floats
+        :meth:`threshold_tri` gives at each of them."""
+        first = self.k + 1
+        if first <= self.k_inf_cutoff:
+            raise ValueError(
+                f"step {first} is not past k_inf_cutoff={self.k_inf_cutoff}"
+            )
+        self.extend(levels)
+        last = self.k
+
+        def lagged(values: list[float], lag: int, before: float) -> np.ndarray:
+            # values[k - lag] for each step k passed, ``before`` where k < lag
+            lo = first - lag
+            head = [before] * min(max(-lo, 0), last - first + 1)
+            return np.array(head + values[max(lo, 0) : max(last + 1 - lag, 0)])
+
+        ks = np.arange(first, last + 1)
+        return self._tri(
+            lagged(self._row_norm, 1, 0.0),
+            lagged(self._cum_w, 2, 0.0),
+            lagged(self._bev1_norm, 2, self._nv0_at_k1),
+            lagged(self._cum_mv, 3, 0.0),
+            np.where(ks >= 2, self._nv_prev, 0.0),
+        )
+
     def threshold_tri(self) -> float:
         """Triangle threshold at the current level (k >= 1)."""
         k = self.k
         if k < 1:
             raise ValueError("tracker must be advanced before reading thresholds")
-        state_term = self._row_norm[k - 1]
-        w_term = (self._cum_w[k - 2] if k >= 2 else 0.0) + self._nw_last
         if k == 1:
-            v_term = self._nv0_at_k1 + self._nv_last
-        else:
-            v_term = (
-                self._bev1_norm[k - 2]
-                + (self._cum_mv[k - 3] if k >= 3 else 0.0)
-                + self._nv_prev
-                + self._nv_last
-            )
-        return self.delta_x0 * state_term + self.eta_w * w_term + self.eta_v * v_term
+            return self._tri(self._row_norm[0], 0.0, self._nv0_at_k1, 0.0, 0.0)
+        return self._tri(
+            self._row_norm[k - 1],
+            self._cum_w[k - 2],
+            self._bev1_norm[k - 2],
+            self._cum_mv[k - 3] if k >= 3 else 0.0,
+            self._nv_prev,
+        )
+
+    def _tri(self, state, w_sum, v_first, mv_sum, v_prev):
+        """The triangle threshold from one level's terms, or elementwise
+        from arrays of them, in one order of operations.  At k >= 2 the
+        terms are ``row_norm[k-1]``, ``cum_w[k-2]``, ``bev1_norm[k-2]``,
+        ``cum_mv[k-3]`` (0.0 at k = 2) and the ``v_prev`` norm; at k = 1
+        the ``v0_at_k1`` norm stands for ``bev1_norm`` and the sums and
+        ``v_prev`` are 0.0, which leave a nonnegative float as it is."""
+        w_term = w_sum + self._nw_last
+        v_term = v_first + mv_sum + v_prev + self._nv_last
+        return self.delta_x0 * state + self.eta_w * w_term + self.eta_v * v_term
 
     def stacked(self) -> StackedResidualModel:
         """Assemble the stacked residual map at the current level (k <= cutoff)."""
@@ -539,6 +596,7 @@ def eliminate(r_norm: float, delta_hat: float, scale: float = 0.0) -> bool:
     return r_norm > delta_hat + 1e-14 * (1.0 + delta_hat + scale)
 
 
+# bench/layers.py hooks this; it can go only once the benchmark is mended (ROADMAP item 1).
 def fuse(active, estimates) -> GlobalEstimate:
     """Combine the surviving modes' balls into the global set estimate.
 

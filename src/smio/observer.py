@@ -154,6 +154,7 @@ def _radii(
     return delta_x, delta_d
 
 
+# bench/layers.py hooks this; it can go only once the benchmark is mended (ROADMAP item 1).
 def step(
     state: ObserverState,
     dec: ModeDecomposition,
@@ -276,6 +277,7 @@ def radius_sequence(
     return delta_x, delta_d
 
 
+# bench/layers.py hooks this; it can go only once the benchmark is mended (ROADMAP item 1).
 def set_estimates(state: ObserverState) -> tuple[SetEstimate, SetEstimate]:
     """The state ball (xhat_kk, delta_x) and the input ball (dhat_prev, delta_d).
 

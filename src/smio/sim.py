@@ -7,8 +7,12 @@ and thresholds do not depend on the data, and eliminating one hypothesis
 never changes another's estimates.  Per mode, the data drive of every step
 is one matrix product, the state recursion one n-by-n product per step,
 and the observer's stages, whose innovation is the residual, one product
-each; the threshold tracker is walked only up to
-the first step whose residual test eliminates the mode.  The run records
+each.  The thresholds are walked one step at a time up to
+``k_inf_cutoff``, where the enumerated threshold needs each step's stacked
+map, and past it a block of steps at a time: one array of triangle
+thresholds and one vectorised residual test per block, with blocks that
+double in size.  The walk stops at the first step whose residual test
+eliminates the mode, so at most one block is computed past it.  The run records
 everything in a replayable trace of arrays.  Noise is drawn uniformly from
 the 2-norm balls the bounds describe, so runs exercise the constraint set
 all the way to its boundary; every random draw is tied to one seed and a
@@ -76,8 +80,13 @@ ENUM_BUDGET_MAX = 20
 # built-in five-hypothesis plant ``run_pipeline`` holds about 1.6 KB per step,
 # and writing the CSV, a block of steps at a time, adds about 8 MB whatever
 # the horizon, so ``smio benchmark`` at the cap peaks at about 0.2 GB resident
-# (and takes ~16 s).
+# (and takes about 9 s on a 2-core host with one BLAS thread).
 HORIZON_MAX = 100_000
+
+# Steps in the first block of the threshold walk past ``k_inf_cutoff``; each
+# later block is twice the last, so at most one block is computed past an
+# elimination.
+_WALK_BLOCK = 32
 
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
@@ -459,21 +468,36 @@ def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0, out: dict) -> t
         enum_budget=cfg.enum_budget,
     )
     thresholds = out["thresholds"]
-    for k in range(1, steps + 1):
+    elim = None
+    cutoff = min(max(cfg.k_inf_cutoff, 0), steps)
+    for k in range(1, cutoff + 1):
         dinf, dtri, dhat = tracker.advance()
-        thresholds[k] = (np.nan if dinf is None else dinf, dtri, dhat)
+        thresholds[k] = (dinf, dtri, dhat)
         if eliminate(r_norm[k], dhat):  # a scale can only clear a flag: price it only then
             if eliminate(r_norm[k], dhat, residual_scale(dec, xstar[k], u[k], y[k])):
+                elim = k
                 break
-    else:
+    # past the cutoff delta_hat is delta_tri: walk a block of steps at a time
+    start, size = cutoff + 1, _WALK_BLOCK
+    while elim is None and start <= steps:
+        stop = min(start + size, steps + 1)
+        dtri = tracker.advance_tri(stop - start)
+        thresholds[start:stop, 1] = thresholds[start:stop, 2] = dtri
+        # eliminate()'s test without a scale, for the whole block at once
+        for k in start + np.flatnonzero(r_norm[start:stop] > dtri + 1e-14 * (1.0 + dtri)):
+            if eliminate(r_norm[k], dtri[k - start], residual_scale(dec, xstar[k], u[k], y[k])):
+                elim = int(k)
+                break
+        start, size = stop, 2 * size
+    if elim is None:
         out["live"][1:] = True
         return None, r
     # the estimates and radii stay frozen from the eliminating step on
     for name in ("xhat", "xhat_pred", "xhat_star", "dhat", "delta_x", "delta_d"):
-        out[name][k + 1 :] = out[name][k]
-    r[k + 1 :] = r_norm[k + 1 :] = np.nan
-    out["live"][1 : k + 1] = True
-    return k, r
+        out[name][elim + 1 :] = out[name][elim]
+    r[elim + 1 :] = r_norm[elim + 1 :] = thresholds[elim + 1 :] = np.nan
+    out["live"][1 : elim + 1] = True
+    return elim, r
 
 
 def run_pipeline(cfg: ScenarioConfig) -> RunTrace:

@@ -3,11 +3,14 @@
 Everything in this file is deliberately written the slow, obvious way:
 brute-force vertex enumeration, fixed-point Riccati iteration, symbolic
 invariant zeros, a direct (matrix_power) assembly of the stacked residual
-map, a one-level-at-a-time replay of the threshold power sequence, and the
-estimation pipeline stepped one observer update at a time.  Only the last
-uses ``smio``, and only its one-step functions (imported where it runs).
-These were written and frozen before the library code they check; library
-code must agree with them, never the other way around.
+map, a one-level-at-a-time replay of the threshold power sequence, the
+estimation pipeline stepped one observer update at a time, the cross-mode
+re-based residual, and the trace CSV formatted one row at a time.  The
+last three use ``smio`` (imported where they run): the pipeline only its
+one-step functions, the residual its error type, and the CSV writer its
+header and row formats.  Each was frozen before the library code it
+checks was written or last rewritten; library code must agree with them,
+never the other way around.
 """
 
 import itertools
@@ -361,3 +364,67 @@ def stepwise_pipeline(cfg):
         fault_step=fault_step,
         containment_violations=violations,
     )
+
+
+def residual_conditioned(dec_q, dec_qstar, xhat_star_q, u_k, y_k):
+    """The mode-q residual re-based on the true mode's attack-free directions.
+
+    Subtracting this from ``modeguard.residual`` isolates the cross-mode
+    output rotation: ``residual(...) - residual_conditioned(...)`` equals
+    ``(T2_q - T2_qstar) @ y_k`` exactly.  Only defined when both modes have
+    the same residual dimension.
+    """
+    from smio.modeguard import UnsupportedPairError
+
+    if dec_q.residual_dim != dec_qstar.residual_dim:
+        raise UnsupportedPairError(
+            f"residual dimensions differ ({dec_q.residual_dim} vs {dec_qstar.residual_dim})"
+        )
+    xhat_star_q = np.asarray(xhat_star_q, dtype=float).reshape(-1)
+    u_k = np.asarray(u_k, dtype=float).reshape(-1)
+    y_k = np.asarray(y_k, dtype=float).reshape(-1)
+    return dec_qstar.T2 @ y_k - dec_q.C2 @ xhat_star_q - dec_q.D2 @ u_k
+
+
+def row_by_row_trace_csv(trace, path):
+    """The trace CSV of ``cli.write_trace_csv``, the whole trace at once
+    and one ``%`` per row: each mode row's fields from one float table, its
+    format picked by which fields it fills, and a fused row per step."""
+    from smio.cli import _row_format, trace_header
+
+    n = trace.config.model.n
+    steps, modes = trace.live.shape
+    active = [len(a) for a in trace.active_sets]
+    elim_at = np.array([trace.eliminated_at[q] or steps for q in trace.mode_ids])
+    formats = [_row_format(bool(c & 4), bool(c & 2), bool(c & 1), n) for c in range(8)]
+    fused = "%d,fused" + "," * (n + 8) + "%d\r\n"
+    k = np.arange(steps)
+
+    def column(values):
+        values = np.asarray(values, dtype=float)
+        return np.broadcast_to(values, (steps, modes))[:, :, None]
+
+    table = np.concatenate(
+        [
+            column(k[:, None]),
+            column(trace.mode_ids),
+            column(trace.r_norm),
+            column(trace.delta_inf),
+            column(trace.delta_tri),
+            column(trace.delta_hat),
+            column(k[:, None] >= elim_at),
+            trace.xhat,
+            column(trace.delta_x),
+            column(trace.delta_d),
+            column(np.array(active)[:, None]),
+        ],
+        axis=2,
+    ).tolist()
+    has_inf = trace.live & (k <= trace.config.k_inf_cutoff)[:, None]
+    key = (trace.live * 4 + has_inf * 2 + (k >= 1)[:, None]).tolist()
+    lines = [",".join(trace_header(n)) + "\r\n"]
+    for step, rows, codes in zip(k.tolist(), table, key):
+        lines += [formats[codes[i]] % tuple(rows[i]) for i in range(modes)]
+        lines.append(fused % (step, active[step]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))

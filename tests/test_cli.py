@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import row_by_row_trace_csv
 from smio import cli
 from smio.modeguard import eliminate
-from smio.sim import HORIZON_MAX, benchmark_model, run_pipeline
+from smio.sim import HORIZON_MAX, benchmark_model, benchmark_scenario, run_pipeline
 
 
 # ----------------------------------------------------------------- fixtures
@@ -134,6 +135,56 @@ def test_csv_block_size_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
     assert written[0] == written[1] == written[2]
 
 
+def _one_sensor_overflow_config(x0):
+    # a plant that grows 40-fold per step; from x0 = 0.05 its outputs
+    # overflow near step 194, from x0 = 1e307 at step 1
+    return {
+        "model": {
+            "A": [[40.0]],
+            "B": [[0.0]],
+            "C": [[1.0], [1.0]],
+            "D": [[0.0], [0.0]],
+            "G": [[]],
+            "H": [[1.0, 0.0], [0.0, 1.0]],
+            "eta_w": 0.01,
+            "eta_v": 0.001,
+            "delta_x0": 0.1,
+        },
+        "modes": {"t_a": 0, "t_s": 2, "rho": 1},
+        "scenario": {"true_mode": 1, "horizon": 300, "seed": 0, "x0": [x0]},
+    }
+
+
+@pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")
+def test_csv_writer_equals_the_row_by_row_writer(tmp_path, monkeypatch):
+    late = pair_config()
+    late["scenario"]["horizon"] = 60
+    late["attack"] = {"kind": "explicit", "values": [[0.0]] * 33 + [[8.0]] * 28}
+
+    def run(cfg, name):
+        return run_pipeline(cli.load_scenario(write_config(tmp_path, cfg, f"{name}.json")))
+
+    traces = {
+        # mode 2 eliminated at step 33: inside a 7-step chunk, past the cutoff
+        "late_elimination": run(late, "late"),
+        "crosses_cutoff": run_pipeline(benchmark_scenario(seed=2, horizon=40)),
+        "nonfinite": run(_one_sensor_overflow_config(0.05), "nonfinite"),
+        "step_zero_only": run(_one_sensor_overflow_config(1e307), "step_zero_only"),
+    }
+    assert traces["late_elimination"].eliminated_at == {1: None, 2: 33}
+    assert traces["crosses_cutoff"].steps_recorded > traces["crosses_cutoff"].config.k_inf_cutoff
+    assert traces["nonfinite"].fault_kind == "nonfinite_output"
+    assert traces["step_zero_only"].steps_recorded == 0
+    for name, trace in traces.items():
+        want = tmp_path / f"{name}_oracle.csv"
+        row_by_row_trace_csv(trace, want)
+        for chunk in (1, 7, trace.steps_recorded + 10):
+            monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+            got = tmp_path / f"{name}_{chunk}.csv"
+            cli.write_trace_csv(trace, got)
+            assert got.read_bytes() == want.read_bytes(), (name, chunk)
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -238,23 +289,7 @@ def test_all_modes_eliminated_exits_3_with_partial_trace(tmp_path, capsys):
 
 
 def test_nonfinite_measurement_exits_5_with_partial_trace(tmp_path, capsys):
-    # a plant that grows 40-fold per step: its outputs overflow to inf
-    cfg = {
-        "model": {
-            "A": [[40.0]],
-            "B": [[0.0]],
-            "C": [[1.0], [1.0]],
-            "D": [[0.0], [0.0]],
-            "G": [[]],
-            "H": [[1.0, 0.0], [0.0, 1.0]],
-            "eta_w": 0.01,
-            "eta_v": 0.001,
-            "delta_x0": 0.1,
-        },
-        "modes": {"t_a": 0, "t_s": 2, "rho": 1},
-        "scenario": {"true_mode": 1, "horizon": 300, "seed": 0, "x0": [0.05]},
-    }
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, _one_sensor_overflow_config(0.05))
     out = tmp_path / "overflow.csv"
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 5
 

@@ -22,7 +22,6 @@ from smio.modeguard import (
     eta_t,
     fuse,
     residual,
-    residual_conditioned,
     stacked_residual_general,
     threshold_inf,
     threshold_tri,
@@ -36,6 +35,7 @@ from oracles import (
     PerLevelThresholds,
     brute_force_vertex_max,
     hypercube_vertex_norm,
+    residual_conditioned,
     scalar_tri_series_limit,
     stacked_blocks_direct,
     vertex_max_one_shot,
@@ -584,6 +584,85 @@ def test_tracker_equals_per_level_reference_on_builtin_plant(benchmark_model, be
             assert got == expected, (q, k)
             if k <= cutoff:
                 assert np.array_equal(tracker.stacked().Aq_k, A), (q, k)
+
+
+def test_tracker_equals_per_level_reference_across_the_zero_tail(benchmark_model, benchmark_modes):
+    """The built-in hypotheses' rows are exactly zero from level 248 on.
+    With the cutoff past that level, the tracker still gives the
+    reference's floats for k = 1..600 (across the 256-level block edge),
+    and the stacked maps of the zero levels equal the reference's."""
+    with pytest.warns(UserWarning):
+        bank, _ = build_bank(benchmark_model, benchmark_modes)
+    cutoff = 300
+    for q, (_mode, dec, _gains, dyn) in bank.items():
+        tracker = _tracker(benchmark_model, dec, dyn, cutoff)
+        ref = _per_level(benchmark_model, dec, dyn, cutoff)
+        for k in range(1, 601):
+            got = tracker.advance()
+            expected, A = _reference_advance(ref)
+            assert got == expected, (q, k)
+            if k <= cutoff:
+                assert np.array_equal(tracker.stacked().Aq_k, A), (q, k)
+        assert ref.rows[247].any() and not any(row.any() for row in ref.rows[248:]), q
+
+
+def test_tracker_zero_tail_calls_no_svd(benchmark_model, benchmark_modes, monkeypatch):
+    with pytest.warns(UserWarning):
+        bank, _ = build_bank(benchmark_model, benchmark_modes)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    for q, (_mode, dec, _gains, dyn) in bank.items():
+        tracker = _tracker(benchmark_model, dec, dyn, 25)
+        tracker.extend(255)  # levels 0..254, the last block ending in zeros
+        assert not tracker._last_row.any(), q
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        tracker.extend(2000)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert calls == [], q
+        assert tracker._row_norm[254:] == [0.0] * (len(tracker._row_norm) - 254)
+        assert len(set(tracker._cum_w[254:])) == len(set(tracker._cum_mv[254:])) == 1
+
+
+def test_stacked_norm2_of_mixed_zero_and_nonzero_matrices():
+    from smio.decomposition import _norm2
+
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((7, 3, 4))
+    stack[1] = 0.0
+    stack[3] = -0.0
+    stack[4] = 0.0
+    stack[4, 2, 1] = -0.0
+    stack[6] = 0.0
+    stack[6, 0, 0] = 1e-320  # a subnormal entry is not zero
+    got = modeguard._stacked_norm2(stack)
+    want = [_norm2(M) for M in stack]
+    assert got.tolist() == want
+    assert not np.signbit(got).any()
+    assert modeguard._stacked_norm2(np.zeros((3, 2, 2))).tolist() == [0.0] * 3
+    assert modeguard._stacked_norm2(np.zeros((2, 0, 4))).tolist() == [0.0] * 2
+
+
+@pytest.mark.parametrize("cutoff", [-1, 0, 1, 2, 25])
+def test_advance_tri_equals_threshold_tri_step_by_step(cutoff):
+    model, bank = random_instance(np.random.default_rng(91))
+    for _mode, dec, _gains, dyn in bank:
+        one = _tracker(model, dec, dyn, cutoff)
+        want = [one.advance()[1] for _ in range(300)]
+        blocks = _tracker(model, dec, dyn, cutoff)
+        start = max(cutoff, 0)
+        for _ in range(start):
+            blocks.advance()
+        got = want[:start]
+        for size in (1, 1, 2, 3, 40, 200):
+            got += blocks.advance_tri(size).tolist()
+        assert got == want[: len(got)]
+        with pytest.raises(ValueError, match="k_inf_cutoff"):
+            _tracker(model, dec, dyn, 1).advance_tri(1)
 
 
 def test_tracker_kept_levels_pin_no_whole_block():

@@ -484,6 +484,37 @@ def test_pipeline_matches_stepwise_oracle_when_all_modes_eliminated():
     _assert_matches_stepwise(trace, stepwise_pipeline(cfg))
 
 
+def _late_attack_config(onset, horizon=60):
+    """The sensor pair with mode 1's attack switched on at ``onset``: mode 2
+    is eliminated at the onset step, past the default cutoff of 25."""
+    model = _sensor_pair_model()
+    modes = enumerate_modes(0, 2, 1, model.G, model.H)
+    values = np.zeros((horizon + 1, 1))
+    values[onset:] = 8.0
+    return ScenarioConfig(
+        model=model, modes=tuple(modes), true_mode=1, horizon=horizon,
+        attack=AttackSignal(mode=modes[0], values=values), noise_seed=9,
+    )
+
+
+# the walk's blocks from step 26: first size 1 gives [26], [27, 28],
+# [29..32], [33..40], [41..56]; first size 7 gives [26..32], [33..46], [47..60]
+@pytest.mark.parametrize(
+    "first, onset", [(1, 33), (1, 40), (7, 33), (7, 46)], ids=["1-first", "1-last", "7-first", "7-last"]
+)
+def test_pipeline_matches_stepwise_oracle_when_the_walk_eliminates(monkeypatch, first, onset):
+    monkeypatch.setattr(sim, "_WALK_BLOCK", first)
+    cfg = _late_attack_config(onset)
+    assert cfg.k_inf_cutoff < onset
+    trace = run_pipeline(cfg)
+    assert trace.eliminated_at == {1: None, 2: onset}
+    _assert_matches_stepwise(trace, stepwise_pipeline(cfg))
+    # nothing computed past the eliminating step is kept
+    assert np.isnan(trace.delta_tri[onset + 1 :, 1]).all()
+    assert np.isnan(trace.delta_hat[onset + 1 :, 1]).all()
+    assert not trace.live[onset + 1 :, 1].any()
+
+
 # campaign draws whose true hypothesis has an identically zero residual map
 # (the attack absorbs every output direction): rounding must never eliminate it
 ZERO_RESIDUAL_PLANTS = {
