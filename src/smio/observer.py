@@ -9,11 +9,14 @@ attack-free residual channel.  All four stages are linear, so the
 corrected estimate obeys ``xhat_k = Ae xhat_{k-1} + s_k``, with ``Ae`` the
 closed error map and ``s_k`` the four stages run on the data alone (a zero
 previous estimate).  The one-step API (:func:`step`) and the whole-horizon
-run (:func:`run_observer`) both step the corrected estimate this way and
-take every stage in the same order and grouping (:func:`_stages`), so the
-observer is defined in one place: a cancellation in the data (an attack
-the decomposition absorbs) happens inside a stage, as the paper's
-recursion does it, and leaves rounding relative to that stage's terms.
+run of a bank of observers (:func:`run_bank`, then :func:`stage_rows` per
+observer) both step the corrected estimate this way and take every stage
+in the same order and grouping (:func:`_stages`), so the observer is
+defined in one place: a cancellation in the data (an attack the
+decomposition absorbs) happens inside a stage, as the paper's recursion
+does it, and leaves rounding relative to that stage's terms.  Over a
+horizon, each stage is one matrix product per observer, and the bank's
+recursion is one stacked product of the observers' error maps per step.
 Because the update mixes two adjacent time indices, :func:`step` caches
 the last (u, y) pair internally — callers feed one pair per step, and the
 very first call only registers the time-0 pair without advancing the
@@ -27,7 +30,8 @@ the norm-triangle bound driven by the closed error map: it contracts iff
 ``theta = ||Ae||_2 < 1`` (see ConservativeRadiusWarning in the
 decomposition module for the expansive-but-stable case).  The radii never
 depend on the data, so :func:`radius_sequence` runs them for a whole
-horizon with the same scalar recursion :func:`step` uses.
+horizon with the same scalar recursion :func:`step` uses, up to the first
+step that repeats its predecessor.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ __all__ = [
     "NotReadyError",
     "init_observer",
     "step",
-    "HorizonEstimates",
-    "run_observer",
+    "run_bank",
+    "stage_rows",
     "radius_sequence",
     "set_estimates",
 ]
@@ -209,71 +213,65 @@ def step(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HorizonEstimates:
-    """One observer's estimates at steps 0..N, one row per step, as
-    :func:`step` would produce them, and its residual ``T2 y_k - C2
-    xhat_star - D2 u_k``; row 0 holds the initial guess (and NaN for the
-    input estimate and the residual, which do not exist yet)."""
+def run_bank(members, model: SystemModel, xhat0, u: np.ndarray, y: np.ndarray, xhat: np.ndarray) -> None:
+    """Step the corrected estimates of a bank of observers over the data
+    rows ``u[0..N]``, ``y[0..N]``, with the recursion :func:`step` applies.
 
-    xhat_kk: np.ndarray = field(repr=False)
-    xhat_pred: np.ndarray = field(repr=False)
-    xhat_star: np.ndarray = field(repr=False)
-    dhat_prev: np.ndarray = field(repr=False)
-    residual: np.ndarray = field(repr=False)
-
-
-def run_observer(
-    dec: ModeDecomposition,
-    gains: ObserverGains,
-    errdyn: ErrorDynamics,
-    model: SystemModel,
-    xhat0,
-    u: np.ndarray,
-    y: np.ndarray,
-) -> HorizonEstimates:
-    """Run one observer over the data rows ``u[0..N]``, ``y[0..N]``, with
-    the recursion :func:`step` applies.
-
-    Each stage takes one matrix product for the whole horizon, once for
-    the data drive and once more, after the recursion, for the
-    intermediate estimates; only ``xhat_k = Ae xhat_{k-1} + s_k`` is
-    stepped.
+    ``members`` holds each observer's ``(dec, gains, errdyn)``, and
+    ``xhat[:, i]`` of the ``(N+1, Q, n)`` array ``xhat`` receives member i's
+    estimates, starting from ``xhat0``.  Each member's data drive ``s_k``
+    takes one matrix product per stage for the whole horizon, written into
+    its rows of ``xhat``; then ``xhat_k = Ae xhat_{k-1} + s_k`` steps every
+    member at once, one stacked product per step.
     """
-    steps = y.shape[0]
     data = (u[:-1], y[:-1], u[1:], y[1:])  # row k-1 holds the data of step k
-    drive = _stages(dec, gains, model, np.zeros((steps - 1, model.n)), *data)[3]
-    xkk = np.empty((steps, model.n))
-    xkk[0] = np.asarray(xhat0, dtype=float).reshape(-1)
-    Ae = errdyn.Ae
-    for k in range(1, steps):
-        xkk[k] = Ae @ xkk[k - 1] + drive[k - 1]
-    del drive
-    xpred = np.empty_like(xkk)
-    xstar = np.empty_like(xkk)
-    dhat = np.empty((steps, dec.V1.shape[0]))
-    r = np.empty((steps, dec.T2.shape[0]))
-    xpred[0] = xstar[0] = xkk[0]
-    dhat[0] = r[0] = np.nan
-    xpred[1:], xstar[1:], dhat[1:], _, r[1:] = _stages(dec, gains, model, xkk[:-1], *data)
-    return HorizonEstimates(
-        xhat_kk=xkk, xhat_pred=xpred, xhat_star=xstar, dhat_prev=dhat, residual=r
-    )
+    zero = np.zeros((y.shape[0] - 1, model.n))
+    for i, (dec, gains, _) in enumerate(members):
+        xhat[1:, i] = _stages(dec, gains, model, zero, *data)[3]
+    del zero
+    xhat[0] = np.asarray(xhat0, dtype=float).reshape(-1)
+    Ae = np.stack([errdyn.Ae for _, _, errdyn in members])
+    prev = xhat[:, :, :, None]  # prev[k] is the (Q, n, 1) stack of xhat[k]
+    prod = np.empty(Ae.shape[:2] + (1,))
+    matmul, add = np.matmul, np.add
+    for k in range(1, xhat.shape[0]):
+        matmul(Ae, prev[k - 1], out=prod)
+        row = xhat[k]
+        add(prod[:, :, 0], row, out=row)
+
+
+def stage_rows(dec: ModeDecomposition, gains: ObserverGains, model: SystemModel, xhat, u, y):
+    """``(xhat_pred, xhat_star, dhat_prev, residual)`` at steps 1..N of one
+    observer whose corrected estimates at steps 0..N are ``xhat``, each
+    stage one matrix product for the whole horizon; the residual is ``T2
+    y_k - C2 xhat_star - D2 u_k``."""
+    xpred, xstar, dhat, _, r = _stages(dec, gains, model, xhat[:-1], u[:-1], y[:-1], u[1:], y[1:])
+    return xpred, xstar, dhat, r
 
 
 def radius_sequence(
     errdyn: ErrorDynamics, model: SystemModel, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(delta_x, delta_d)`` at steps 0..steps from the recursion
-    :func:`step` applies; ``delta_d[0]`` is NaN (no input estimate yet)."""
+    :func:`step` applies; ``delta_d[0]`` is NaN (no input estimate yet).
+
+    A step is a function of the previous ``delta_x`` alone, so once a step
+    returns the ``delta_x`` it was given (a fixed point, or ``inf`` after an
+    overflow), every later step returns what it returned, and the rest is
+    filled with it."""
     delta_x = np.empty(steps + 1)
     delta_d = np.empty(steps + 1)
     dx = delta_x[0] = float(model.delta_x0)
     delta_d[0] = np.nan
     eta_w, eta_v = model.eta_w, model.eta_v
     for k in range(1, steps + 1):
-        dx, delta_d[k] = _radii(errdyn, eta_w, eta_v, dx)
-        delta_x[k] = dx
+        nx, delta_d[k] = _radii(errdyn, eta_w, eta_v, dx)
+        delta_x[k] = nx
+        if nx == dx:  # never for NaN; +0.0 and -0.0 step alike (the coefficients are norms)
+            delta_x[k + 1 :] = nx
+            delta_d[k + 1 :] = delta_d[k]
+            break
+        dx = nx
     return delta_x, delta_d
 
 

@@ -1,13 +1,16 @@
 """Closed-loop simulation of the attacked plant and the full estimation pipeline.
 
-Simulates the switched plant under one true mode, then runs each observer
-of the bank over the whole horizon at once: the plant trajectory exists
+Simulates the switched plant under one true mode, then runs the bank of
+observers over the whole horizon at once: the plant trajectory exists
 before the bank runs, each observer is a fixed affine recursion, its radii
 and thresholds do not depend on the data, and eliminating one hypothesis
-never changes another's estimates.  Per mode, the data drive of every step
-is one matrix product, the state recursion one n-by-n product per step,
-and the observer's stages, whose innovation is the residual, one product
-each.  The thresholds are walked one step at a time up to
+never changes another's estimates.  The plant's known-input, attack and
+output terms are one stacked product each over the horizon, and only
+``A x_k`` is stepped.  Per mode, the data drive of every step is one
+matrix product per observer stage; the state recursion then steps every
+mode at once, one stacked product of the modes' n-by-n error maps per
+step; and the observer's stages, whose innovation is the residual, take
+one product each.  The thresholds are walked one step at a time up to
 ``k_inf_cutoff``, where the enumerated threshold needs each step's stacked
 map, and past it a block of steps at a time: one array of triangle
 thresholds and one vectorised residual test per block, with blocks that
@@ -16,12 +19,15 @@ eliminates the mode, so at most one block is computed past it.  The run records
 everything in a replayable trace of arrays.  Noise is drawn uniformly from
 the 2-norm balls the bounds describe, so runs exercise the constraint set
 all the way to its boundary; every random draw is tied to one seed and a
-fixed stream order, which makes traces bit-reproducible.
+fixed stream order, which makes traces bit-reproducible.  Each noise
+direction is drawn into its row in that order, and the rows are scaled at
+the end.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +55,7 @@ from .modeguard import (
     fuse,
     residual_scale,
 )
-from .observer import ObserverState, radius_sequence, run_observer, set_estimates
+from .observer import ObserverState, radius_sequence, run_bank, set_estimates, stage_rows
 
 __all__ = [
     "SimulationError",
@@ -77,10 +83,10 @@ __all__ = [
 ENUM_BUDGET_MAX = 20
 
 # Largest accepted horizon.  A run's arrays grow with the horizon: on the
-# built-in five-hypothesis plant ``run_pipeline`` holds about 1.6 KB per step,
+# built-in five-hypothesis plant ``run_pipeline`` holds about 1.5 KB per step,
 # and writing the CSV, a block of steps at a time, adds about 8 MB whatever
-# the horizon, so ``smio benchmark`` at the cap peaks at about 0.2 GB resident
-# (and takes about 9 s on a 2-core host with one BLAS thread).
+# the horizon, so ``smio benchmark`` at the cap peaks at about 0.18 GB resident
+# (and takes about 6.5 s on a 2-core host with one BLAS thread).
 HORIZON_MAX = 100_000
 
 # Steps in the first block of the threshold walk past ``k_inf_cutoff``; each
@@ -350,28 +356,65 @@ class RunTrace:
         return tuple(out)
 
 
+def _ball_scale(g: np.ndarray, eta: float, rng: np.random.Generator) -> float:
+    """Draw the radius of a uniform point of the 2-norm ball of radius ``eta``
+    whose direction is the standard normal draw ``g``, and return the factor
+    that takes ``g`` to that point.  For a zero radius or a zero ``g`` the
+    radius is drawn all the same, so turning a bound on or off never shifts
+    later draws, ``g`` is set to +0.0 and the factor is 0.0.  A ball of
+    dimension 0 draws nothing."""
+    if not g.size:
+        return 0.0
+    nrm = math.sqrt(g.dot(g))  # np.linalg.norm's arithmetic on a vector
+    r = rng.random()
+    if eta == 0.0 or nrm == 0.0:
+        g[:] = 0.0
+        return 0.0
+    return eta * r ** (1.0 / g.size) / nrm
+
+
 def sample_bounded(dim: int, eta: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the closed 2-norm ball of radius eta."""
-    dim = int(dim)
     eta = float(eta)
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    if dim == 0:
-        return np.zeros(0)
-    g = rng.standard_normal(dim)
-    nrm = float(np.linalg.norm(g))
-    if eta == 0.0 or nrm == 0.0:
-        # the direction draw stays in the stream even for a zero radius,
-        # so turning a bound on or off never shifts later draws' directions
-        rng.uniform()
-        return np.zeros(dim)
-    return (eta * rng.uniform() ** (1.0 / dim) / nrm) * g
+    g = rng.standard_normal(int(dim))
+    return _ball_scale(g, eta, rng) * g
+
+
+def _noise(model: SystemModel, N: int, rng: np.random.Generator):
+    """``(ws, vs)``: the process noise of steps 0..N-1 and the measurement
+    noise of steps 0..N, drawn as ``sample_bounded`` draws them, in the
+    stream order v_0, w_0, v_1, w_1, ..., v_N.  Each direction is drawn into
+    its row, and the rows are scaled together at the end."""
+    ws, vs = np.empty((N, model.n)), np.empty((N + 1, model.l))
+    fw, fv = np.empty(N), np.empty(N + 1)
+    normal, scale = rng.standard_normal, _ball_scale
+    eta_w, eta_v = model.eta_w, model.eta_v
+    for k in range(N):
+        g = vs[k]
+        normal(out=g)
+        fv[k] = scale(g, eta_v, rng)
+        g = ws[k]
+        normal(out=g)
+        fw[k] = scale(g, eta_w, rng)
+    g = vs[N]
+    normal(out=g)
+    fv[N] = scale(g, eta_v, rng)
+    ws *= fw[:, None]
+    vs *= fv[:, None]
+    return ws, vs
+
+
+def _rows_times(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``M @ rows[k]`` for every row k, each the same product (one gemv)."""
+    return np.matmul(M, rows[:, :, None])[:, :, 0]
 
 
 def _simulate(cfg: ScenarioConfig):
     model = cfg.model
     N = cfg.horizon
-    n, l = model.n, model.l
+    n = model.n
     mode_star = cfg.mode_by_id(cfg.true_mode)
     if cfg.attack is not None:
         d = cfg.attack.values
@@ -383,26 +426,41 @@ def _simulate(cfg: ScenarioConfig):
     rng_noise = np.random.default_rng(noise_ss)
     xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros(n)
     x0 = cfg.x0 if cfg.x0 is not None else xhat0 + sample_bounded(n, model.delta_x0, rng_init)
-    ws = np.zeros((N, n))
-    vs = np.zeros((N + 1, l))
-    for k in range(N + 1):
-        vs[k] = sample_bounded(l, model.eta_v, rng_noise)
-        if k < N:
-            ws[k] = sample_bounded(n, model.eta_w, rng_noise)
-    # rows after the first non-finite state or output stay NaN: the plant
-    # has left the floating-point range, and stepping on would only overflow.
-    # States and outputs share one row so that one test covers both.
-    xy = np.full((N + 1, n + l), np.nan)
-    xs, ys = xy[:, :n], xy[:, n:]
+    ws, vs = _noise(model, N, rng_noise)
+    d_rows = d[: N + 1, : mode_star.rho]
+    # x_{k+1} = ((A x_k + B u_k) + Gq d_k) + w_k and
+    # y_k = ((C x_k + D u_k) + Hq d_k) + v_k, in this order of sums; only the
+    # A x_k term is stepped.  Rows after the first non-finite state or output
+    # stay NaN: the plant has left the floating-point range, and stepping on
+    # would only overflow.
+    xs = np.full((N + 1, n), np.nan)
+    ys = np.full((N + 1, model.l), np.nan)
     xs[0] = x0
+    last = N
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
-            dk = d[k] if mode_star.rho else np.zeros(0)
-            ys[k] = model.C @ xs[k] + model.D @ u[k] + mode_star.Hq @ dk + vs[k]
-            if k == N or not np.isfinite(xy[k]).all():
+        Bu = _rows_times(model.B, u[:N])
+        Gd = _rows_times(mode_star.Gq, d_rows[:N])
+        A, matmul, isfinite = model.A, np.matmul, math.isfinite
+        for k in range(N):
+            x = xs[k + 1]
+            matmul(A, xs[k], out=x)
+            x += Bu[k]
+            x += Gd[k]
+            x += ws[k]
+            # x.x is finite unless x is not, or its square overflows
+            if not isfinite(x.dot(x)) and not np.isfinite(x).all():
+                last = k + 1
                 break
-            xs[k + 1] = model.A @ xs[k] + model.B @ u[k] + mode_star.Gq @ dk + ws[k]
-    return np.ascontiguousarray(xs), np.ascontiguousarray(ys), u, d, ws, vs, xhat0
+        y = ys[: last + 1]
+        y[:] = _rows_times(model.C, xs[: last + 1])
+        y += _rows_times(model.D, u[: last + 1])
+        y += _rows_times(mode_star.Hq, d_rows[: last + 1])
+        y += vs[: last + 1]
+    finite = np.isfinite(xs[: last + 1]).all(axis=1) & np.isfinite(y).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        xs[bad + 1 :] = ys[bad + 1 :] = np.nan
+    return xs, ys, u, d, xhat0
 
 
 def simulate_plant(cfg: ScenarioConfig):
@@ -436,25 +494,24 @@ def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, s
     return bank, excluded
 
 
-def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, xhat0, out: dict) -> tuple:
-    """Run one hypothesis over the data rows ``u[0..N]``, ``y[0..N]`` and
-    write its rows into ``out``, this mode's ``(N+1)``-row slices of the
-    trace arrays.  Returns ``(eliminated_at, residuals)``; rows past the
-    eliminating step keep its estimates and radii, and NaN residuals and
-    thresholds."""
+def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> tuple:
+    """Finish one hypothesis over the data rows ``u[0..N]``, ``y[0..N]``,
+    given its corrected estimates in ``out["xhat"]``, and write its rows
+    into ``out``, this mode's ``(N+1)``-row slices of the trace arrays.
+    Returns ``(eliminated_at, residuals)``; rows past the eliminating step
+    keep its estimates and radii, and NaN residuals and thresholds."""
     model = cfg.model
     steps = y.shape[0] - 1
-    est = run_observer(dec, gains, dyn, model, xhat0, u, y)
     out["delta_x"][:], out["delta_d"][:] = radius_sequence(dyn, model, steps)
-    for name, rows in (
-        ("xhat", est.xhat_kk),
-        ("xhat_pred", est.xhat_pred),
-        ("xhat_star", est.xhat_star),
-        ("dhat", est.dhat_prev),
-    ):
-        out[name][:] = rows
-    r = est.residual  # the observer's innovation, one row per step
-    del est
+    *stages, r_rows = stage_rows(dec, gains, model, out["xhat"], u, y)
+    for name, rows in zip(("xhat_pred", "xhat_star", "dhat"), stages):
+        out[name][1:] = rows
+    del stages
+    out["xhat_pred"][0] = out["xhat_star"][0] = out["xhat"][0]  # dhat's row 0 stays NaN
+    r = np.empty((steps + 1, r_rows.shape[1]))  # the observer's innovation, one row per step
+    r[0] = np.nan
+    r[1:] = r_rows
+    del r_rows
     xstar = out["xhat_star"]
     r_norm = out["r_norm"]
     r_norm[1:] = np.linalg.norm(r[1:], axis=1)
@@ -518,7 +575,7 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
             f"true mode {cfg.true_mode} unusable: {excluded[cfg.true_mode]}"
         )
 
-    xs, ys, u, d_true, _ws, _vs, xhat0 = _simulate(cfg)
+    xs, ys, u, d_true, xhat0 = _simulate(cfg)
     finite = np.isfinite(ys).all(axis=1)
     bad = None if finite.all() else int(np.argmin(finite))
     last = cfg.horizon if bad is None else max(bad - 1, 0)
@@ -536,13 +593,13 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     }
     arrays = {name: np.full((last + 1, Q) + shape, np.nan) for name, shape in shapes.items()}
     arrays["live"] = np.zeros((last + 1, Q), dtype=bool)
+    data = u[: last + 1], ys[: last + 1]  # no observer sees a non-finite output
+    run_bank([bank[q][1:] for q in ids], model, xhat0, *data, arrays["xhat"])
     eliminated_at, residuals = {}, []
     for i, q in enumerate(ids):
         _mode, dec, gains, dyn = bank[q]
         out = {name: arr[:, i] for name, arr in arrays.items()}
-        eliminated_at[q], r = _run_mode(
-            cfg, dec, gains, dyn, u[: last + 1], ys[: last + 1], xhat0, out
-        )
+        eliminated_at[q], r = _run_mode(cfg, dec, gains, dyn, *data, out)
         residuals.append(r)
 
     fault = fault_step = fault_kind = None
@@ -580,10 +637,12 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         + np.count_nonzero(~(d_err <= dd + 1e-9 * (1.0 + dd)))
     )
 
-    active_sets = tuple(
-        tuple(q for q in ids if eliminated_at[q] is None or eliminated_at[q] > k)
-        for k in range(K)
-    )
+    # the active set changes only at an eliminating step: one tuple per stretch
+    active_sets = []
+    for stop in sorted({k for k in eliminated_at.values() if k is not None} | {K}):
+        start = len(active_sets)
+        active = tuple(q for q in ids if eliminated_at[q] is None or eliminated_at[q] > start)
+        active_sets += [active] * (stop - start)
     return RunTrace(
         config=cfg,
         states=xs,
@@ -591,7 +650,7 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         inputs=u,
         attack_values=d_true,
         mode_ids=ids,
-        active_sets=active_sets,
+        active_sets=tuple(active_sets),
         residuals=tuple(r[:K] for r in residuals),
         delta_inf=delta_inf,
         delta_tri=delta_tri,

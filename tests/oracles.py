@@ -5,10 +5,14 @@ brute-force vertex enumeration, fixed-point Riccati iteration, symbolic
 invariant zeros, a direct (matrix_power) assembly of the stacked residual
 map, a one-level-at-a-time replay of the threshold power sequence, the
 estimation pipeline stepped one observer update at a time, the cross-mode
-re-based residual, and the trace CSV formatted one row at a time.  The
-last three use ``smio`` (imported where they run): the pipeline only its
-one-step functions, the residual its error type, and the CSV writer its
-header and row formats.  Each was frozen before the library code it
+re-based residual, the trace CSV formatted one row at a time, the plant
+simulated one step and one noise draw at a time, one observer's state
+recursion stepped on its own, and the radius recursion taken at every
+step.  The pipeline, the residual, the CSV writer, the observer recursion
+and the radius recursion use ``smio`` (imported where they run): the
+pipeline only its one-step functions, the residual its error type, the CSV
+writer its header and row formats, the observer recursion the observer's
+stages, and the radius recursion its one-step function.  Each was frozen before the library code it
 checks was written or last rewritten; library code must agree with them,
 never the other way around.
 """
@@ -428,3 +432,91 @@ def row_by_row_trace_csv(trace, path):
         lines.append(fused % (step, active[step]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(lines))
+
+
+def _sample_bounded_stepwise(dim, eta, rng):
+    """A uniform draw from the closed 2-norm ball of radius ``eta``, one
+    ``standard_normal(dim)`` and one ``uniform()`` per call."""
+    dim = int(dim)
+    eta = float(eta)
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    if dim == 0:
+        return np.zeros(0)
+    g = rng.standard_normal(dim)
+    nrm = float(np.linalg.norm(g))
+    if eta == 0.0 or nrm == 0.0:
+        rng.uniform()
+        return np.zeros(dim)
+    return (eta * rng.uniform() ** (1.0 / dim) / nrm) * g
+
+
+def stepwise_simulate(cfg):
+    """The plant of ``cfg`` under its true mode, one step at a time, with
+    each noise row drawn as it is needed (v_0, w_0, v_1, ..., v_N).
+    Returns ``(states, outputs)``; the rows after the first non-finite state
+    or output are NaN."""
+    model = cfg.model
+    N = cfg.horizon
+    n, l = model.n, model.l
+    mode_star = cfg.mode_by_id(cfg.true_mode)
+    if cfg.attack is not None:
+        d = cfg.attack.values
+    else:
+        d = np.zeros((N + 1, mode_star.rho))
+    u = cfg.inputs
+    init_ss, noise_ss = np.random.SeedSequence(cfg.noise_seed).spawn(2)
+    rng_init = np.random.default_rng(init_ss)
+    rng_noise = np.random.default_rng(noise_ss)
+    xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros(n)
+    x0 = cfg.x0 if cfg.x0 is not None else xhat0 + _sample_bounded_stepwise(n, model.delta_x0, rng_init)
+    ws = np.zeros((N, n))
+    vs = np.zeros((N + 1, l))
+    for k in range(N + 1):
+        vs[k] = _sample_bounded_stepwise(l, model.eta_v, rng_noise)
+        if k < N:
+            ws[k] = _sample_bounded_stepwise(n, model.eta_w, rng_noise)
+    xy = np.full((N + 1, n + l), np.nan)
+    xs, ys = xy[:, :n], xy[:, n:]
+    xs[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N + 1):
+            dk = d[k] if mode_star.rho else np.zeros(0)
+            ys[k] = model.C @ xs[k] + model.D @ u[k] + mode_star.Hq @ dk + vs[k]
+            if k == N or not np.isfinite(xy[k]).all():
+                break
+            xs[k + 1] = model.A @ xs[k] + model.B @ u[k] + mode_star.Gq @ dk + ws[k]
+    return np.ascontiguousarray(xs), np.ascontiguousarray(ys)
+
+
+def per_mode_xhat(dec, gains, errdyn, model, xhat0, u, y):
+    """One observer's corrected estimates at steps 0..N over the data rows
+    ``u[0..N]``, ``y[0..N]``: the data drive of every step from the
+    observer's stages with a zero previous estimate, then ``xhat_k = Ae
+    xhat_{k-1} + s_k`` stepped for this observer alone."""
+    from smio.observer import _stages
+
+    steps = y.shape[0]
+    data = (u[:-1], y[:-1], u[1:], y[1:])
+    drive = _stages(dec, gains, model, np.zeros((steps - 1, model.n)), *data)[3]
+    xkk = np.empty((steps, model.n))
+    xkk[0] = np.asarray(xhat0, dtype=float).reshape(-1)
+    Ae = errdyn.Ae
+    for k in range(1, steps):
+        xkk[k] = Ae @ xkk[k - 1] + drive[k - 1]
+    return xkk
+
+
+def radius_recursion(errdyn, model, steps):
+    """``(delta_x, delta_d)`` at steps 0..steps, every step of the radius
+    recursion taken; ``delta_d[0]`` is NaN."""
+    from smio.observer import _radii
+
+    delta_x = np.empty(steps + 1)
+    delta_d = np.empty(steps + 1)
+    dx = delta_x[0] = float(model.delta_x0)
+    delta_d[0] = np.nan
+    for k in range(1, steps + 1):
+        dx, delta_d[k] = _radii(errdyn, model.eta_w, model.eta_v, dx)
+        delta_x[k] = dx
+    return delta_x, delta_d

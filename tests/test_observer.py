@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from oracles import radius_recursion
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import SystemModel, enumerate_modes
 from smio.observer import (
     NotReadyError,
     ObserverError,
     init_observer,
+    radius_sequence,
     set_estimates,
     step,
 )
@@ -266,3 +268,46 @@ def test_dimension_mismatch_rejected(benchmark_model, benchmark_modes):
         step(s, dec, gains, dyn, np.zeros(1), np.zeros(4), benchmark_model)
     with pytest.raises(ObserverError, match="length"):
         step(s, dec, gains, dyn, np.zeros(2), np.zeros(5), benchmark_model)
+
+
+def _assert_radii_match_full_recursion(dyn, model, steps):
+    """radius_sequence equals every step of the recursion, byte for byte;
+    returns the first step whose delta_x repeats the one before (None if
+    none does)."""
+    got, want = radius_sequence(dyn, model, steps), radius_recursion(dyn, model, steps)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    repeats = np.flatnonzero(want[0][1:] == want[0][:-1])
+    return int(repeats[0]) + 1 if repeats.size else None
+
+
+@pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")
+def test_radius_tail_matches_full_recursion_on_builtin_plant():
+    from smio.sim import benchmark_model, build_bank, benchmark_modes
+
+    model = benchmark_model()
+    bank, _ = build_bank(model, benchmark_modes(model))
+    tails = [_assert_radii_match_full_recursion(bank[q][3], model, 1000) for q in sorted(bank)]
+    # every built-in hypothesis overflows to a repeating inf inside 1000 steps
+    assert all(k is not None and k < 1000 for k in tails), tails
+
+
+@pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")
+def test_radius_tail_matches_full_recursion_on_random_banks():
+    rng = np.random.default_rng(64)
+    tails = 0
+    for _ in range(80):
+        model, bank = random_instance(rng)
+        for _mode, _dec, _gains, dyn in bank:
+            tails += _assert_radii_match_full_recursion(dyn, model, 400) is not None
+    assert tails >= 40
+
+
+@pytest.mark.parametrize("delta_x0", [0.0, -0.0, 1.0])
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+def test_radius_tail_matches_full_recursion_at_zero_radii(delta_x0, eta):
+    model, _mode, _dec, _gains, dyn = _scalar_no_input_setup(
+        A=0.5, ltilde=0.5, eta_w=eta, eta_v=eta, delta_x0=delta_x0
+    )
+    # theta = 0.25: a radius of 1.0 with no noise underflows to 0.0 near step 537
+    assert _assert_radii_match_full_recursion(dyn, model, 700) is not None

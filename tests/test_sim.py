@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from oracles import stepwise_pipeline
+from oracles import per_mode_xhat, stepwise_pipeline, stepwise_simulate
 from smio import sim
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import AttackSignal, SystemModel, enumerate_modes
 from smio.modeguard import residual_scale
-from smio.observer import init_observer, step
+from smio.observer import _stages, init_observer, run_bank, step
 from smio.sim import (
     FAULT_ELIMINATED,
     FAULT_NONFINITE,
@@ -23,6 +23,7 @@ from smio.sim import (
     SimulationError,
     benchmark_modes,
     benchmark_scenario,
+    build_bank,
     run_pipeline,
     sample_bounded,
     simulate_plant,
@@ -633,6 +634,140 @@ def test_overflowing_plant_stops_stepping_without_warnings():
     assert np.isfinite(xs[:194]).all() and np.isfinite(ys[:194]).all()
     assert not np.isfinite(ys[194]).all()
     assert np.isnan(xs[195:]).all() and np.isnan(ys[195:]).all()
+
+
+# ------------------------------------------- byte identity with step-at-a-time forms
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_simulates_like_stepwise(cfg):
+    got, want = simulate_plant(cfg), stepwise_simulate(cfg)
+    assert _same_bytes(got[0], want[0]), "states"
+    assert _same_bytes(got[1], want[1]), "outputs"
+
+
+def _random_config(rng, horizon):
+    """A random bank's plant under one of its hypotheses, with a nonzero
+    known input; returns ``(config, bank)``."""
+    model, bank = random_instance(rng)
+    modes = tuple(mode for mode, *_ in bank)
+    true = modes[int(rng.integers(len(modes)))]
+    cfg = ScenarioConfig(
+        model=model,
+        modes=modes,
+        true_mode=true.id,
+        horizon=horizon,
+        attack=sinusoid_attack(true, horizon + 1) if true.rho else None,
+        known_input=rng.normal(size=(horizon + 1, model.m)),
+        noise_seed=int(rng.integers(1 << 16)),
+    )
+    return cfg, bank
+
+
+@pytest.mark.parametrize("true_mode", [1, 2, 3, 4, 5])
+def test_simulation_matches_stepwise_oracle_bytes_on_builtin_plant(true_mode):
+    _assert_simulates_like_stepwise(benchmark_scenario(seed=0, horizon=1000, true_mode=true_mode))
+
+
+@QUIET
+def test_simulation_matches_stepwise_oracle_bytes_on_random_plants():
+    rng = np.random.default_rng(61)
+    two_inputs = attacked = unattacked = 0
+    for _ in range(200):
+        cfg, _bank = _random_config(rng, int(rng.integers(1, 120)))
+        _assert_simulates_like_stepwise(cfg)
+        two_inputs += cfg.model.m == 2
+        attacked += cfg.attack is not None
+        unattacked += cfg.attack is None
+    assert min(two_inputs, attacked, unattacked) >= 20
+
+
+@pytest.mark.parametrize("zero", ["eta_w", "eta_v", "both"])
+def test_simulation_with_a_zero_noise_bound_keeps_the_stream(zero):
+    full = sim_benchmark_model()
+    names = ("eta_w", "eta_v") if zero == "both" else (zero,)
+    model = dataclasses.replace(full, **{name: 0.0 for name in names})
+    modes = benchmark_modes(model)
+    cfg = ScenarioConfig(
+        model=model, modes=tuple(modes), true_mode=2, horizon=300,
+        attack=sinusoid_attack(modes[1], 301), noise_seed=4,
+    )
+    _assert_simulates_like_stepwise(cfg)
+    # a zero bound draws its directions and radii all the same: the other
+    # noise is the one drawn with both bounds on, and the zero rows are +0.0
+    ws, vs = sim._noise(model, 300, np.random.default_rng(8))
+    ws_full, vs_full = sim._noise(full, 300, np.random.default_rng(8))
+    for name, got, want in (("eta_w", ws, ws_full), ("eta_v", vs, vs_full)):
+        assert _same_bytes(got, np.zeros_like(want) if name in names else want), name
+
+
+def test_overflowing_plant_matches_stepwise_oracle_bytes():
+    _assert_simulates_like_stepwise(_overflowing_plant_config())
+
+
+def _assert_bank_matches_per_mode(cfg):
+    """run_pipeline's estimates and residuals equal, byte for byte, those of
+    each observer stepped on its own, up to the step it was eliminated at
+    (the run must have no non-finite output)."""
+    trace = run_pipeline(cfg)
+    assert trace.fault_kind != FAULT_NONFINITE
+    model, N = cfg.model, cfg.horizon
+    bank, _ = build_bank(model, cfg.modes)
+    u, y = trace.inputs[: N + 1], trace.outputs
+    xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros(model.n)
+    for i, q in enumerate(trace.mode_ids):
+        _mode, dec, gains, dyn = bank[q]
+        xkk = per_mode_xhat(dec, gains, dyn, model, xhat0, u, y)
+        xpred, xstar, dhat, _, r = _stages(dec, gains, model, xkk[:-1], u[:-1], y[:-1], u[1:], y[1:])
+        last = trace.eliminated_at[q] or trace.steps_recorded
+        assert _same_bytes(np.ascontiguousarray(trace.xhat[: last + 1, i]), xkk[: last + 1]), q
+        # the stages' rows start at step 1
+        for name, got, want in (
+            ("xhat_pred", trace.xhat_pred[1:, i], xpred),
+            ("xhat_star", trace.xhat_star[1:, i], xstar),
+            ("dhat", trace.dhat[1:, i], dhat),
+            ("residual", trace.residuals[i][1:], r),
+        ):
+            assert _same_bytes(np.ascontiguousarray(got[:last]), want[:last]), (q, name)
+
+
+@QUIET
+@pytest.mark.parametrize("true_mode", [1, 2, 3, 4, 5])
+def test_bank_recursion_matches_per_mode_oracle_bytes_on_builtin_plant(true_mode):
+    _assert_bank_matches_per_mode(benchmark_scenario(seed=0, horizon=1000, true_mode=true_mode))
+
+
+@QUIET
+def test_bank_recursion_matches_per_mode_oracle_bytes_on_random_banks():
+    rng = np.random.default_rng(62)
+    compared = multi = 0
+    while compared < 60:
+        cfg, bank = _random_config(rng, int(rng.integers(1, 150)))
+        try:
+            _assert_bank_matches_per_mode(cfg)
+        except SimulationError:  # the drawn true mode is not strongly detectable
+            continue
+        compared += 1
+        multi += len(bank) > 1
+    assert multi >= 20
+
+
+@QUIET
+def test_run_bank_steps_every_member_like_the_per_mode_oracle():
+    rng = np.random.default_rng(63)
+    for _ in range(40):
+        cfg, bank = _random_config(rng, 80)
+        _xs, ys = simulate_plant(cfg)
+        u = cfg.inputs
+        xhat0 = rng.normal(size=cfg.model.n)
+        xhat = np.empty((81, len(bank), cfg.model.n))
+        run_bank([member[1:] for member in bank], cfg.model, xhat0, u, ys, xhat)
+        for i, (_mode, dec, gains, dyn) in enumerate(bank):
+            want = per_mode_xhat(dec, gains, dyn, cfg.model, xhat0, u, ys)
+            assert _same_bytes(np.ascontiguousarray(xhat[:, i]), want), i
 
 
 # ------------------------------------------------------------ benchmark kit
