@@ -50,21 +50,24 @@ print("per-step ball radii follow a recursion that never contracts.  The radii")
 print("below are astronomically loose -- sound, and useless.  The residuals,")
 print("thresholds, and point estimates are unaffected.")
 
+# Each hypothesis's last residual test is at its last live step.
+last = {q: int(np.flatnonzero(trace.live[:, i])[-1]) for i, q in enumerate(trace.mode_ids)}
+
 print("\nper-hypothesis summary at the final step:")
 print(" q | last r_norm | threshold | margin    | eliminated")
 print("---+-------------+-----------+-----------+-----------")
-for q in sorted(trace.records[-1]):
-    rec = trace.records[-1][q]
-    margin = rec.delta_hat - rec.r_norm
-    print(f" {q} | {rec.r_norm:11.6f} | {rec.delta_hat:9.6f} | {margin:+9.6f} |"
+for i, q in enumerate(trace.mode_ids):
+    r_norm, delta_hat = trace.r_norm[last[q], i], trace.delta_hat[last[q], i]
+    margin = delta_hat - r_norm
+    print(f" {q} | {r_norm:11.6f} | {delta_hat:9.6f} | {margin:+9.6f} |"
           f" {trace.eliminated_at[q]}")
 
 print("\nfinal active set:", trace.final_active)
 print("containment violations:", trace.containment_violations)
 
 print("\nwhy the rows above are identical -- the five residual vectors:")
-for q in sorted(trace.records[-1]):
-    print(f"  hyp {q}: r =", np.round(trace.records[-1][q].r, 8))
+for i, q in enumerate(trace.mode_ids):
+    print(f"  hyp {q}: r =", np.round(trace.residuals[i][last[q]], 8))
 print("Each hypothesis absorbed the four channels it distrusts; the only")
 print("monitored direction left is sensor 5, which no attack can reach.")
 
@@ -72,10 +75,10 @@ print("monitored direction left is sensor 5, which no attack can reach.")
 # wrongly trust distorts their estimates, visibly so against the truth.
 x_true = trace.states[-1]
 print("\nfinal state estimates vs truth", np.round(x_true, 3), ":")
-for q, snap in sorted(trace.snapshots[-1].items()):
-    err = float(np.linalg.norm(snap.xhat_kk - x_true))
+for i, q in enumerate(trace.mode_ids):
+    err = float(np.linalg.norm(trace.xhat[-1, i] - x_true))
     tag = "<- true hypothesis" if q == cfg.true_mode else ""
-    print(f"  hyp {q}: err {err:8.4f}   ball radius {snap.delta_x:.2e} {tag}")
+    print(f"  hyp {q}: err {err:8.4f}   ball radius {trace.delta_x[-1, i]:.2e} {tag}")
 
 print("\nAll five survive by design here; the guarantees that matter are that")
 print("the TRUE hypothesis is never the one eliminated, and that its ball")

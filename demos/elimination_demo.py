@@ -59,27 +59,30 @@ def main():
     print("---+--------------------+--------------------+-------")
     for k in range(1, horizon + 1):
         cells = []
-        for q in (1, 2):
-            rec = trace.records[k].get(q)
-            if rec is None or rec.k != k:
+        for i, q in enumerate(trace.mode_ids):
+            if not trace.live[k, i]:  # no residual test once eliminated
                 cells.append("     (frozen)      ")
             else:
-                flag = "*" if rec.eliminated else " "
-                cells.append(f"{rec.r_norm:7.4f}/{rec.delta_hat:7.4f} {flag}")
+                flag = "*" if k == trace.eliminated_at[q] else " "
+                cells.append(f"{trace.r_norm[k, i]:7.4f}/{trace.delta_hat[k, i]:7.4f} {flag}")
         print(f"{k:2d} | {cells[0]} | {cells[1]} | {trace.active_sets[k]}")
 
     print("\neliminated_at:", trace.eliminated_at)
     print("final active set:", trace.final_active)
     print("containment violations for the true mode:", trace.containment_violations)
 
-    # The fused estimate is the union of the survivors' balls; once the
-    # wrong hypothesis dies it is just the true observer's ball.
-    first = next(f for f in trace.fused if f is not None)
-    last = trace.fused[-1]
-    r_first = max(b.radius for b in first.state_balls)
-    r_last = max(b.radius for b in last.state_balls)
-    print(f"\nfused state ball radius: {r_first:.4f} (step 1, both hypotheses)"
-          f" -> {r_last:.4f} (final, survivors {last.active})")
+    # The fused estimate is the union of the survivors' balls
+    # (xhat[k, i], delta_x[k, i]); once the wrong hypothesis dies it is just
+    # the true observer's ball.
+    def fused_radius(k):
+        return max(
+            trace.delta_x[k, i]
+            for i, q in enumerate(trace.mode_ids)
+            if q in trace.active_sets[k]
+        )
+
+    print(f"\nfused state ball radius: {fused_radius(1):.4f} (step 1, both hypotheses)"
+          f" -> {fused_radius(-1):.4f} (final, survivors {trace.final_active})")
 
     kill = trace.eliminated_at[2]
     assert kill is not None and trace.final_active == (1,), "expected hypothesis 2 to die"

@@ -26,7 +26,6 @@ the same config and seed always produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -42,9 +41,8 @@ from .model import (
     enumerate_modes,
     validate,
 )
-from .modeguard import ENUM_BUDGET_DEFAULT, K_INF_CUTOFF_DEFAULT, detectability_report
+from .modeguard import detectability_report
 from .sim import (
-    ENUM_BUDGET_MAX,
     FAULT_NONFINITE,
     HORIZON_MAX,
     RunTrace,
@@ -87,7 +85,7 @@ _MODEL_KEYS = {"A", "B", "C", "D", "G", "H", "eta_w", "eta_v", "delta_x0"}
 _MODES_KEYS = {"t_a", "t_s", "rho"}
 _SCENARIO_KEYS = {"true_mode", "horizon", "seed", "xhat0", "x0", "known_input"}
 _ATTACK_KEYS = {"kind", "amplitude", "bias", "values"}
-_TUNING_KEYS = {"k_inf_cutoff", "enum_budget", "R_x", "R_y"}
+_TUNING_KEYS = {"R_x", "R_y"}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
@@ -137,6 +135,15 @@ def _integer(block: dict, key: str, where: str, default=None):
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _trajectory_bound(value: float | None, name: str) -> float | None:
+    """``value`` as the trajectory bound ``name`` of condition (i): None
+    (not given) or a finite number >= 0; raises :class:`ConfigError`
+    otherwise."""
+    if value is not None and not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
     return value
 
 
@@ -222,30 +229,29 @@ def _build_attack(
         raise ConfigError(f"attack.values is unusable: {exc}") from exc
 
 
-def _read_config(path) -> tuple[dict, SystemModel, list[ModeHypothesis], dict]:
-    """``(document, model, modes, tuning)`` of a config file, each checked;
-    ``tuning`` is ``{}`` when the config has no such block."""
+def _read_config(path) -> tuple[dict, SystemModel, list[ModeHypothesis], tuple]:
+    """``(document, model, modes, (R_x, R_y))`` of a config file, each
+    checked; a trajectory bound the ``tuning`` block leaves out is None."""
     doc = load_config_document(path)
     model = _build_model(doc)
     modes = _build_modes(doc, model)
     tuning = _require_dict(doc, "tuning", required=False) or {}
     _reject_unknown(tuning, _TUNING_KEYS, "the 'tuning' block")
-    return doc, model, modes, tuning
+    bounds = tuple(
+        _trajectory_bound(_number(tuning, key, "tuning"), f"tuning.{key}")
+        for key in ("R_x", "R_y")
+    )
+    return doc, model, modes, bounds
 
 
-def load_scenario(
-    path,
-    seed: int | None = None,
-    horizon: int | None = None,
-    k_inf_cutoff: int | None = None,
-    enum_budget: int | None = None,
-) -> ScenarioConfig:
+def load_scenario(path, seed: int | None = None, horizon: int | None = None) -> ScenarioConfig:
     """Build a runnable scenario from a JSON config file.
 
     The keyword arguments are command-line overrides and win over the
-    corresponding config values when given.
+    corresponding config values when given.  The trajectory bounds of the
+    ``tuning`` block serve ``smio analyze``; a scenario only checks them.
     """
-    doc, model, modes, tuning = _read_config(path)
+    doc, model, modes, _bounds = _read_config(path)
     scen = _require_dict(doc, "scenario", required=True)
     _reject_unknown(scen, _SCENARIO_KEYS, "the 'scenario' block")
     true_mode = _integer(scen, "true_mode", "scenario")
@@ -259,14 +265,6 @@ def load_scenario(
         raise ConfigError(str(exc)) from exc
     if seed is None:
         seed = _integer(scen, "seed", "scenario", 0)
-
-    if k_inf_cutoff is None:
-        k_inf_cutoff = _integer(tuning, "k_inf_cutoff", "tuning", K_INF_CUTOFF_DEFAULT)
-    if enum_budget is None:
-        enum_budget = _integer(tuning, "enum_budget", "tuning", ENUM_BUDGET_DEFAULT)
-    # the trajectory bounds serve `smio analyze`; a simulation only checks them
-    for key in ("R_x", "R_y"):
-        _number(tuning, key, "tuning")
 
     if not any(m.id == true_mode for m in modes):
         raise ConfigError(
@@ -286,8 +284,6 @@ def load_scenario(
             noise_seed=seed,
             xhat0=scen.get("xhat0"),
             x0=scen.get("x0"),
-            k_inf_cutoff=k_inf_cutoff,
-            enum_budget=enum_budget,
         )
     except (SimulationError, ModelError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -422,25 +418,12 @@ def _run_and_write(cfg: ScenarioConfig, out) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_scenario(
-        args.config,
-        seed=args.seed,
-        horizon=args.horizon,
-        k_inf_cutoff=args.inf_cutoff,
-        enum_budget=args.enum_budget,
-    )
+    cfg = load_scenario(args.config, seed=args.seed, horizon=args.horizon)
     return _run_and_write(cfg, args.out)
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = benchmark_scenario(seed=args.seed, horizon=args.horizon)
-    overrides = {}
-    if args.inf_cutoff is not None:
-        overrides["k_inf_cutoff"] = args.inf_cutoff
-    if args.enum_budget is not None:
-        overrides["enum_budget"] = args.enum_budget
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
     return _run_and_write(cfg, args.out)
 
 
@@ -466,9 +449,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    _doc, model, modes, tuning = _read_config(args.config)
-    R_x = args.rx if args.rx is not None else _number(tuning, "R_x", "tuning")
-    R_y = args.ry if args.ry is not None else _number(tuning, "R_y", "tuning")
+    try:
+        _trajectory_bound(args.rx, "--rx")
+        _trajectory_bound(args.ry, "--ry")
+    except ConfigError as exc:
+        print(f"smio analyze: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    _doc, model, modes, (R_x, R_y) = _read_config(args.config)
+    if args.rx is not None:
+        R_x, R_y = args.rx, args.ry
     if (R_x is None) != (R_y is None):
         raise ConfigError(
             "tuning must supply both R_x and R_y (or neither) for condition (i)"
@@ -533,18 +522,6 @@ def _add_common(
         type=int,
         default=horizon_default,
         help=f"override the horizon (max {HORIZON_MAX})",
-    )
-    p.add_argument(
-        "--inf-cutoff",
-        type=int,
-        default=None,
-        help=f"last step with the enumerated threshold (default {K_INF_CUTOFF_DEFAULT})",
-    )
-    p.add_argument(
-        "--enum-budget",
-        type=int,
-        default=None,
-        help=f"max free-sign bits for exact vertex enumeration (default {ENUM_BUDGET_DEFAULT}, max {ENUM_BUDGET_MAX})",
     )
 
 

@@ -6,17 +6,23 @@ When the hypothesis is correct, that residual is a fixed linear map of the
 initial estimation error and the noise history, so its norm can never
 exceed a computable threshold; a measured residual above the threshold
 eliminates the hypothesis outright.  Two thresholds are maintained — a
-per-step vertex bound over the noise hypercube and a closed-form triangle
-bound driven by the error dynamics — and their minimum is the operative
-test.  All block matrices come from one shared incremental generator
-(:class:`ThresholdTracker`) so the stacked map, the triangle bound, and
-their asymptotics can never drift apart: :func:`tri_limit` reads the
-tracker's first two levels and its boundary norms.
+vertex bound over the noise hypercube, taken at the first
+:data:`K_INF_CUTOFF_DEFAULT` steps only, and a closed-form triangle bound
+driven by the error dynamics — and their minimum is the operative test.
+A run's cutoff and vertex budget are the fixed constants
+:data:`K_INF_CUTOFF_DEFAULT` and :data:`ENUM_BUDGET_DEFAULT`; the
+tracker's ``k_inf_cutoff`` and ``enum_budget`` parameters serve the
+stateless wrappers and offline checks.  All block matrices come from one
+shared incremental generator (:class:`ThresholdTracker`) so the stacked
+map, the triangle bound, and their asymptotics can never drift apart:
+:func:`tri_limit` reads the tracker's first two levels and its boundary
+norms.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +34,6 @@ from .observer import SetEstimate
 __all__ = [
     "K_INF_CUTOFF_DEFAULT",
     "ENUM_BUDGET_DEFAULT",
-    "ResidualRecord",
     "StackedResidualModel",
     "GlobalEstimate",
     "PairRecord",
@@ -69,7 +74,8 @@ class UnsupportedPairError(ValueError):
     """A cross-mode computation was requested for modes whose residual dimensions differ."""
 
 
-# Default tuning: the last level with the enumerated threshold, and the most
+# The run's fixed threshold tuning (README "Performance" says why it is not an
+# option): the last level with the enumerated threshold, and the most
 # stacked-map columns whose sign vertices are enumerated exactly.
 K_INF_CUTOFF_DEFAULT = 25
 ENUM_BUDGET_DEFAULT = 16
@@ -97,38 +103,6 @@ def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- types
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualRecord:
-    """One mode's residual test at one step."""
-
-    mode_id: int
-    k: int
-    r: np.ndarray = field(repr=False)
-    r_norm: float
-    delta_inf: float | None
-    delta_tri: float
-    delta_hat: float
-    eliminated: bool
-
-    @classmethod
-    def evaluate(cls, mode_id, k, r, delta_inf, delta_tri, scale=0.0) -> "ResidualRecord":
-        """Test residual ``r``; ``scale`` is :func:`eliminate`'s."""
-        r = np.asarray(r, dtype=float).reshape(-1)
-        r_norm = float(np.linalg.norm(r))
-        delta_tri = float(delta_tri)
-        delta_hat = delta_tri if delta_inf is None else min(float(delta_inf), delta_tri)
-        return cls(
-            mode_id=int(mode_id),
-            k=int(k),
-            r=r,
-            r_norm=r_norm,
-            delta_inf=None if delta_inf is None else float(delta_inf),
-            delta_tri=delta_tri,
-            delta_hat=delta_hat,
-            eliminated=eliminate(r_norm, delta_hat, scale),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,45 +371,38 @@ class ThresholdTracker:
                 f"step {first} is not past k_inf_cutoff={self.k_inf_cutoff}"
             )
         self.extend(levels)
-        last = self.k
-
-        def lagged(values: list[float], lag: int, before: float) -> np.ndarray:
-            # values[k - lag] for each step k passed, ``before`` where k < lag
-            lo = first - lag
-            head = [before] * min(max(-lo, 0), last - first + 1)
-            return np.array(head + values[max(lo, 0) : max(last + 1 - lag, 0)])
-
-        ks = np.arange(first, last + 1)
-        return self._tri(
-            lagged(self._row_norm, 1, 0.0),
-            lagged(self._cum_w, 2, 0.0),
-            lagged(self._bev1_norm, 2, self._nv0_at_k1),
-            lagged(self._cum_mv, 3, 0.0),
-            np.where(ks >= 2, self._nv_prev, 0.0),
-        )
+        return self._tri(*map(np.array, self._tri_terms(first, self.k)))
 
     def threshold_tri(self) -> float:
         """Triangle threshold at the current level (k >= 1)."""
         k = self.k
         if k < 1:
             raise ValueError("tracker must be advanced before reading thresholds")
-        if k == 1:
-            return self._tri(self._row_norm[0], 0.0, self._nv0_at_k1, 0.0, 0.0)
-        return self._tri(
-            self._row_norm[k - 1],
-            self._cum_w[k - 2],
-            self._bev1_norm[k - 2],
-            self._cum_mv[k - 3] if k >= 3 else 0.0,
-            self._nv_prev,
-        )
+        return self._tri(*[terms[0] for terms in self._tri_terms(k, k)])
+
+    def _tri_terms(self, first: int, last: int) -> Iterator[list[float]]:
+        """The five terms of :meth:`_tri` at each step k of ``first..last``,
+        one list per term, in order: ``row_norm[k-1]``, ``cum_w[k-2]``,
+        ``bev1_norm[k-2]``, ``cum_mv[k-3]`` and the ``v_prev`` norm.  Where
+        k is below a term's lag, the term is its value before level 0: the
+        ``v0_at_k1`` norm for ``bev1_norm``, and 0.0 for the others."""
+        count = last - first + 1
+
+        def lagged(values: list[float], lag: int, before: float) -> list[float]:
+            head = [before] * min(max(lag - first, 0), count)
+            return head + values[max(first - lag, 0) : max(last + 1 - lag, 0)]
+
+        yield lagged(self._row_norm, 1, 0.0)
+        yield lagged(self._cum_w, 2, 0.0)
+        yield lagged(self._bev1_norm, 2, self._nv0_at_k1)
+        yield lagged(self._cum_mv, 3, 0.0)
+        head = [0.0] * min(max(2 - first, 0), count)
+        yield head + [self._nv_prev] * (count - len(head))
 
     def _tri(self, state, w_sum, v_first, mv_sum, v_prev):
-        """The triangle threshold from one level's terms, or elementwise
-        from arrays of them, in one order of operations.  At k >= 2 the
-        terms are ``row_norm[k-1]``, ``cum_w[k-2]``, ``bev1_norm[k-2]``,
-        ``cum_mv[k-3]`` (0.0 at k = 2) and the ``v_prev`` norm; at k = 1
-        the ``v0_at_k1`` norm stands for ``bev1_norm`` and the sums and
-        ``v_prev`` are 0.0, which leave a nonnegative float as it is."""
+        """The triangle threshold from one step's terms (:meth:`_tri_terms`),
+        or elementwise from arrays of them, in one order of operations; a
+        0.0 term leaves a nonnegative float as it is."""
         w_term = w_sum + self._nw_last
         v_term = v_first + mv_sum + v_prev + self._nv_last
         return self.delta_x0 * state + self.eta_w * w_term + self.eta_v * v_term

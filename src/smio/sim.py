@@ -10,18 +10,18 @@ output terms are one stacked product each over the horizon, and only
 matrix product per observer stage; the state recursion then steps every
 mode at once, one stacked product of the modes' n-by-n error maps per
 step; and the observer's stages, whose innovation is the residual, take
-one product each.  The thresholds are walked one step at a time up to
-``k_inf_cutoff``, where the enumerated threshold needs each step's stacked
-map, and past it a block of steps at a time: one array of triangle
-thresholds and one vectorised residual test per block, with blocks that
-double in size.  The walk stops at the first step whose residual test
-eliminates the mode, so at most one block is computed past it.  The run records
-everything in a replayable trace of arrays.  Noise is drawn uniformly from
-the 2-norm balls the bounds describe, so runs exercise the constraint set
-all the way to its boundary; every random draw is tied to one seed and a
-fixed stream order, which makes traces bit-reproducible.  Each noise
-direction is drawn into its row in that order, and the rows are scaled at
-the end.
+one product each.  The thresholds are walked one step at a time up to the
+fixed cutoff :data:`~smio.modeguard.K_INF_CUTOFF_DEFAULT` (25), where the
+enumerated threshold needs each step's stacked map, and past it a block of
+steps at a time: one array of triangle thresholds and one vectorised
+residual test per block, with blocks that double in size.  The walk stops
+at the first step whose residual test eliminates the mode, so at most one
+block is computed past it.  The run records everything in a replayable
+trace of arrays.  Noise is drawn uniformly from the 2-norm balls the
+bounds describe, so runs exercise the constraint set all the way to its
+boundary; every random draw is tied to one seed and a fixed stream order,
+which makes traces bit-reproducible.  Each noise direction is drawn into
+its row in that order, and the rows are scaled at the end.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,20 +49,16 @@ from .model import (
 from .modeguard import (
     ENUM_BUDGET_DEFAULT,
     K_INF_CUTOFF_DEFAULT,
-    GlobalEstimate,
-    ResidualRecord,
     ThresholdTracker,
     eliminate,
-    fuse,
     residual_scale,
 )
-from .observer import ObserverState, radius_sequence, run_bank, set_estimates, stage_rows
+from .observer import ObserverState, radius_sequence, run_bank, stage_rows
 
 __all__ = [
     "SimulationError",
     "ScenarioConfig",
     "RunTrace",
-    "ENUM_BUDGET_MAX",
     "HORIZON_MAX",
     "FAULT_ELIMINATED",
     "FAULT_NONFINITE",
@@ -77,11 +74,6 @@ __all__ = [
 ]
 
 
-# Largest accepted ``enum_budget``: the vertex walk is done in fixed blocks, so
-# memory stays flat, but its time doubles per column: 2**(c-1) vertices per
-# threshold level, ~0.5 M at 20, ~8 M at 24.
-ENUM_BUDGET_MAX = 20
-
 # Largest accepted horizon.  A run's arrays grow with the horizon: on the
 # built-in five-hypothesis plant ``run_pipeline`` holds about 1.5 KB per step,
 # and writing the CSV, a block of steps at a time, adds about 8 MB whatever
@@ -89,7 +81,7 @@ ENUM_BUDGET_MAX = 20
 # (and takes about 6.5 s on a 2-core host with one BLAS thread).
 HORIZON_MAX = 100_000
 
-# Steps in the first block of the threshold walk past ``k_inf_cutoff``; each
+# Steps in the first block of the threshold walk past the cutoff; each
 # later block is twice the last, so at most one block is computed past an
 # elimination.
 _WALK_BLOCK = 32
@@ -130,8 +122,8 @@ def _opt_array(x, name, shape=None):
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything one estimation run depends on.  Every array must be
-    finite, ``horizon`` at most :data:`HORIZON_MAX`, and ``enum_budget`` at
-    most :data:`ENUM_BUDGET_MAX`."""
+    finite, ``horizon`` at most :data:`HORIZON_MAX`, and ``noise_seed``
+    nonnegative."""
 
     model: SystemModel
     modes: tuple[ModeHypothesis, ...]
@@ -142,17 +134,16 @@ class ScenarioConfig:
     noise_seed: int = 0
     xhat0: np.ndarray | None = field(default=None, repr=False)
     x0: np.ndarray | None = field(default=None, repr=False)
-    k_inf_cutoff: int = K_INF_CUTOFF_DEFAULT
-    enum_budget: int = ENUM_BUDGET_DEFAULT
+    # constants, not fields: bench/run.py and tests/oracles.py read them off a config
+    k_inf_cutoff: ClassVar[int] = K_INF_CUTOFF_DEFAULT
+    enum_budget: ClassVar[int] = ENUM_BUDGET_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "horizon", check_horizon(self.horizon))
         object.__setattr__(self, "true_mode", int(self.true_mode))
-        if self.enum_budget > ENUM_BUDGET_MAX:
-            raise SimulationError(
-                f"enum_budget must be at most {ENUM_BUDGET_MAX}, got {self.enum_budget}"
-            )
+        if self.noise_seed < 0:
+            raise SimulationError(f"noise seed must be nonnegative, got {self.noise_seed}")
         ids = [m.id for m in self.modes]
         if len(set(ids)) != len(ids):
             raise SimulationError("mode ids must be unique")
@@ -223,9 +214,10 @@ class RunTrace:
     ``(K, r)`` residual array of mode ``mode_ids[i]``.  ``live`` marks the
     steps at which a mode's residual test ran (steps 1 up to the step that
     eliminated it); the residual and threshold entries are NaN elsewhere,
-    and so is ``delta_inf`` past ``k_inf_cutoff``.  An eliminated mode's
-    estimates and radii stay frozen at its eliminating step.  Every array
-    is read-only.
+    and so is ``delta_inf`` past the cutoff
+    (:attr:`ScenarioConfig.k_inf_cutoff`).  An eliminated mode's estimates
+    and radii stay frozen at its eliminating step.  Every array is
+    read-only.
 
     The recorded steps stop early only on a fault: ``fault`` holds the
     diagnostic, ``fault_step`` the step and ``fault_kind`` which fault
@@ -234,10 +226,14 @@ class RunTrace:
     ``fault_step`` is not finite, and the steps before it are recorded, or
     step 0 alone if the first output is already not finite).
 
-    ``snapshots``, ``records`` and ``fused`` are per-step views of the
-    arrays as :class:`ObserverState`, :class:`ResidualRecord` and
-    :class:`GlobalEstimate` objects, built on first access.  An eliminated
-    mode's entry is the same object at every step from its elimination on.
+    The fused estimate at step k >= 1 is the union, over the ``i`` with
+    ``mode_ids[i]`` in ``active_sets[k]``, of the state balls ``(xhat[k, i],
+    delta_x[k, i])`` and the input balls ``(dhat[k, i], delta_d[k, i])``;
+    it is empty once every mode is eliminated.
+
+    ``snapshots`` is a per-step view of the arrays as :class:`ObserverState`
+    objects, built on first access.  An eliminated mode's entry is the same
+    object at every step from its elimination on.
     """
 
     config: ScenarioConfig
@@ -318,42 +314,6 @@ class RunTrace:
             {q: states[min(k, len(states) - 1)] for q, states in per_mode.items()}
             for k in range(len(self.active_sets))
         )
-
-    @functools.cached_property
-    def records(self) -> tuple[dict[int, ResidualRecord], ...]:
-        """Per step, each mode's latest residual test (none at step 0)."""
-        cutoff = self.config.k_inf_cutoff
-        per_mode = {}
-        for i, q in enumerate(self.mode_ids):
-            per_mode[q] = [None] + [
-                ResidualRecord(
-                    mode_id=q,
-                    k=k,
-                    r=self.residuals[i][k],
-                    r_norm=float(self.r_norm[k, i]),
-                    delta_inf=float(self.delta_inf[k, i]) if k <= cutoff else None,
-                    delta_tri=float(self.delta_tri[k, i]),
-                    delta_hat=float(self.delta_hat[k, i]),
-                    eliminated=k == self.eliminated_at[q],
-                )
-                for k in range(1, self._last_step(q) + 1)
-            ]
-        return ({},) + tuple(
-            {q: recs[min(k, len(recs) - 1)] for q, recs in per_mode.items()}
-            for k in range(1, len(self.active_sets))
-        )
-
-    @functools.cached_property
-    def fused(self) -> tuple[GlobalEstimate | None, ...]:
-        """Per step, the union of the survivors' balls (None at step 0 and
-        once every mode is eliminated)."""
-        out: list[GlobalEstimate | None] = [None]
-        for k in range(1, len(self.active_sets)):
-            active = self.active_sets[k]
-            snap = self.snapshots[k]
-            ests = {q: set_estimates(snap[q]) for q in active}
-            out.append(fuse(active, ests) if active else None)
-        return tuple(out)
 
 
 def _ball_scale(g: np.ndarray, eta: float, rng: np.random.Generator) -> float:
@@ -521,12 +481,10 @@ def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> tuple:
         eta_w=model.eta_w,
         eta_v=model.eta_v,
         delta_x0=model.delta_x0,
-        k_inf_cutoff=cfg.k_inf_cutoff,
-        enum_budget=cfg.enum_budget,
     )
     thresholds = out["thresholds"]
     elim = None
-    cutoff = min(max(cfg.k_inf_cutoff, 0), steps)
+    cutoff = min(K_INF_CUTOFF_DEFAULT, steps)
     for k in range(1, cutoff + 1):
         dinf, dtri, dhat = tracker.advance()
         thresholds[k] = (dinf, dtri, dhat)

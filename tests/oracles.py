@@ -4,7 +4,8 @@ Everything in this file is deliberately written the slow, obvious way:
 brute-force vertex enumeration, fixed-point Riccati iteration, symbolic
 invariant zeros, a direct (matrix_power) assembly of the stacked residual
 map, a one-level-at-a-time replay of the threshold power sequence, the
-estimation pipeline stepped one observer update at a time, the cross-mode
+estimation pipeline stepped one observer update at a time with a record
+of each residual test, the cross-mode
 re-based residual, the trace CSV formatted one row at a time, the plant
 simulated one step and one noise draw at a time, one observer's state
 recursion stepped on its own, and the radius recursion taken at every
@@ -19,6 +20,7 @@ never the other way around.
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,6 +270,42 @@ class PerLevelThresholds:
         return np.hstack(blocks), bounds, delta_tri
 
 
+@dataclass(frozen=True, eq=False)
+class ResidualRecord:
+    """One mode's residual test at one step, as :func:`stepwise_pipeline`
+    records it."""
+
+    mode_id: int
+    k: int
+    r: np.ndarray = field(repr=False)
+    r_norm: float
+    delta_inf: float | None
+    delta_tri: float
+    delta_hat: float
+    eliminated: bool
+
+    @classmethod
+    def evaluate(cls, mode_id, k, r, delta_inf, delta_tri, scale=0.0) -> "ResidualRecord":
+        """Test residual ``r`` with ``smio.modeguard.eliminate``; ``scale``
+        is its."""
+        from smio.modeguard import eliminate
+
+        r = np.asarray(r, dtype=float).reshape(-1)
+        r_norm = float(np.linalg.norm(r))
+        delta_tri = float(delta_tri)
+        delta_hat = delta_tri if delta_inf is None else min(float(delta_inf), delta_tri)
+        return cls(
+            mode_id=int(mode_id),
+            k=int(k),
+            r=r,
+            r_norm=r_norm,
+            delta_inf=None if delta_inf is None else float(delta_inf),
+            delta_tri=delta_tri,
+            delta_hat=delta_hat,
+            eliminated=eliminate(r_norm, delta_hat, scale),
+        )
+
+
 def stepwise_pipeline(cfg):
     """The estimation pipeline as one loop over steps and surviving modes.
 
@@ -280,13 +318,7 @@ def stepwise_pipeline(cfg):
     ``eliminated_at``, ``excluded``, ``fault``, ``fault_step`` and
     ``containment_violations``.  It has no guard against non-finite data.
     """
-    from smio.modeguard import (
-        ResidualRecord,
-        ThresholdTracker,
-        fuse,
-        residual,
-        residual_scale,
-    )
+    from smio.modeguard import ThresholdTracker, fuse, residual, residual_scale
     from smio.observer import init_observer, set_estimates, step
     from smio.sim import SimulationError, build_bank, simulate_plant
 

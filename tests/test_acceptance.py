@@ -291,19 +291,16 @@ def test_criterion_2_threshold_soundness(bench_campaign, random_campaign):
         q = trace.config.true_mode
         if trace.eliminated_at.get(q) is not None:
             rand_viol += 1
-        for recs in trace.records[1:]:
-            rec = recs.get(q)
-            if rec is None:
-                continue
+        t = trace.mode_ids.index(q)
+        for k in np.flatnonzero(trace.live[:, t]):
+            r_norm, delta_hat = trace.r_norm[k, t], trace.delta_hat[k, t]
             checked += 1
-            if eliminate(rec.r_norm, rec.delta_hat):
+            if eliminate(r_norm, delta_hat):
                 rand_viol += 1
             # The margin eliminate() actually tests (fires above 1e-14); a
             # raw ratio would mislead on decoupled systems where residual
             # and threshold are both floating-point dust.
-            max_ratio = max(
-                max_ratio, (rec.r_norm - rec.delta_hat) / (1.0 + rec.delta_hat)
-            )
+            max_ratio = max(max_ratio, (r_norm - delta_hat) / (1.0 + delta_hat))
     ok = bench_viol == 0 and rand_viol == 0
     msg = _verdict(
         2,

@@ -410,19 +410,24 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, where):
         assert "finite" in capsys.readouterr().err
 
 
-def test_enum_budget_above_cap_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, pair_config())
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_negative_seed_flag_rejected(tmp_path, capsys, command):
+    """A negative seed exits 2 with a message, not numpy's traceback."""
     out = str(tmp_path / "x.csv")
-    assert cli.main(
-        ["simulate", "--config", path, "--out", out, "--horizon", "1", "--enum-budget", "70"]
-    ) == 2
-    assert "enum_budget must be at most 20" in capsys.readouterr().err
+    argv = [command, "--out", out, "--seed", "-1", "--horizon", "5"]
+    if command == "simulate":
+        argv += ["--config", write_config(tmp_path, pair_config())]
+    assert cli.main(argv) == 2
+    assert "noise seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
-    cfg = pair_config()
-    cfg["tuning"] = {"enum_budget": 70}
-    path = write_config(tmp_path, cfg, "tuned.json")
-    assert cli.main(["simulate", "--config", path, "--out", out, "--horizon", "1"]) == 2
-    assert "enum_budget" in capsys.readouterr().err
+
+def test_negative_config_seed_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, pair_config(seed=-2))
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["simulate", "--config", path, "--out", out]) == 2
+    assert "noise seed must be nonnegative, got -2" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
@@ -447,6 +452,46 @@ def test_config_horizon_above_cap_rejected(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
     assert f"horizon must be at most {HORIZON_MAX}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan, math.inf])
+def test_bad_trajectory_bound_in_tuning_rejected(tmp_path, capsys, bound):
+    """A negative or non-finite R_x or R_y in the tuning block exits 2, in
+    analyze and in simulate."""
+    for key in ("R_x", "R_y"):
+        cfg = pair_config()
+        cfg["tuning"] = {"R_x": 0.5, "R_y": 0.05, key: bound}
+        path = write_config(tmp_path, cfg)  # json writes NaN / Infinity literals
+        assert cli.main(["analyze", "--config", path]) == 2
+        assert f"tuning.{key} must be a finite number >= 0" in capsys.readouterr().err
+        out = str(tmp_path / "x.csv")
+        assert cli.main(["simulate", "--config", path, "--out", out]) == 2
+        assert f"tuning.{key} must be a finite number >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("bound", ["-1", "-1000", "nan", "inf"])
+def test_bad_trajectory_bound_flag_is_a_usage_error(tmp_path, capsys, bound):
+    path = write_config(tmp_path, pair_config())
+    for flag, other in (("--rx", "--ry"), ("--ry", "--rx")):
+        assert cli.main(["analyze", "--config", path, flag, bound, other, "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be a finite number >= 0" in err
+        assert "Traceback" not in err
+
+
+def test_zero_trajectory_bounds_accepted(tmp_path, capsys):
+    cfg = pair_config()
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "flags.json"
+    assert cli.main(["analyze", "--config", path, "--rx", "0", "--ry", "0", "--out", str(out)]) in (0, 4)
+    cfg["tuning"] = {"R_x": 0.0, "R_y": 0}
+    path = write_config(tmp_path, cfg, "tuned.json")
+    tuned = tmp_path / "tuned_report.json"
+    assert cli.main(["analyze", "--config", path, "--out", str(tuned)]) in (0, 4)
+    assert tuned.read_text() == out.read_text()
+    assert "condition (i) numerator" in json.loads(out.read_text())["note"]
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_non_numeric_trajectory_bound_rejected_by_simulate(tmp_path, capsys):
@@ -640,16 +685,42 @@ def test_analyze_and_simulate_exclude_the_same_hypotheses(tmp_path):
     assert analyzed and analyzed == simulated
 
 
-# --------------------------------------------------------------- tuning knobs
+# ------------------------------------------------------ removed tuning knobs
 
 
-def test_inf_cutoff_flag_limits_enumerated_threshold(tmp_path):
+@pytest.mark.parametrize("flag", ["--inf-cutoff", "--enum-budget"])
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_removed_tuning_flags_exit_1(tmp_path, capsys, command, flag):
+    """The threshold cutoff and the vertex budget are fixed; their old
+    flags are unrecognised arguments, a usage error."""
+    out = str(tmp_path / "x.csv")
+    argv = [command, "--out", out, flag, "4"]
+    if command == "simulate":
+        argv += ["--config", write_config(tmp_path, pair_config())]
+    assert cli.main(argv) == 1
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["k_inf_cutoff", "enum_budget"])
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_removed_tuning_keys_exit_2(tmp_path, capsys, command, key):
+    cfg = pair_config()
+    cfg["tuning"] = {key: 4}
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}' in the 'tuning' block (allowed: R_x, R_y)" in err
+
+
+def test_run_uses_the_fixed_threshold_cutoff(tmp_path):
+    """The enumerated threshold is in the CSV through step 25 and empty after."""
     path = write_config(tmp_path, pair_config())
-    out = tmp_path / "cut.csv"
-    assert cli.main(
-        ["simulate", "--config", path, "--out", str(out), "--inf-cutoff", "4"]
-    ) == 0
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
     rows = [r for r in read_rows(out) if r["mode_id"] == "1" and r["r_norm"] != ""]
     by_k = {int(r["k"]): r for r in rows}
-    assert by_k[4]["delta_inf"] != ""
-    assert by_k[5]["delta_inf"] == ""
+    assert all(by_k[k]["delta_inf"] != "" for k in range(1, 26))
+    assert all(by_k[k]["delta_inf"] == "" for k in range(26, 31))

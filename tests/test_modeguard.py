@@ -12,7 +12,6 @@ from smio.model import enumerate_modes
 from smio.modeguard import (
     AllModesEliminatedError,
     DivergenceError,
-    ResidualRecord,
     StackedResidualModel,
     ThresholdTracker,
     UnsupportedPairError,
@@ -33,6 +32,7 @@ from smio.sim import build_bank
 from conftest import random_instance
 from oracles import (
     PerLevelThresholds,
+    ResidualRecord,
     brute_force_vertex_max,
     hypercube_vertex_norm,
     residual_conditioned,

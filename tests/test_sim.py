@@ -191,6 +191,16 @@ def test_single_mode_universe_matches_plain_observer():
         assert snap.delta_x == state.delta_x
 
 
+def _fused(trace, k):
+    """The fused estimate at step k in the array form ``RunTrace`` documents:
+    per surviving mode, its state ball (centre, radius) and input ball."""
+    return [
+        ((trace.xhat[k, i], trace.delta_x[k, i]), (trace.dhat[k, i], trace.delta_d[k, i]))
+        for i, q in enumerate(trace.mode_ids)
+        if q in trace.active_sets[k]
+    ]
+
+
 def test_benchmark_pipeline_trace_shape_and_survival():
     trace = run_pipeline(benchmark_scenario(seed=0, horizon=60))
     assert trace.fault is None
@@ -209,29 +219,33 @@ def test_benchmark_pipeline_trace_shape_and_survival():
     # modes alive for the whole run
     assert trace.final_active == (1, 2, 3, 4, 5)
     assert all(v is None for v in trace.eliminated_at.values())
-    # fused union keeps one ball per survivor
+    # fused union keeps one finite state ball and one input ball per survivor
     for k in range(1, 61):
-        g = trace.fused[k]
-        assert g.active == trace.active_sets[k]
-        assert len(g.state_balls) == len(g.active)
-        assert len(g.input_balls) == len(g.active)
+        balls = _fused(trace, k)
+        assert len(balls) == len(trace.active_sets[k]) == 5
+        for (xc, xr), (dc, dr) in balls:
+            assert xc.shape == (5,) and dc.shape == (4,)
+            assert np.isfinite([*xc, xr, *dc, dr]).all()
 
 
 def test_benchmark_records_complete_per_step():
     trace = run_pipeline(benchmark_scenario(seed=1, horizon=30))
+    assert trace.mode_ids == (1, 2, 3, 4, 5)
+    assert trace.r_norm.shape == trace.delta_inf.shape == (31, 5)
+    # no residual test at step 0
+    assert not trace.live[0].any()
+    assert np.isnan(trace.r_norm[0]).all() and np.isnan(trace.delta_hat[0]).all()
     for k in range(1, 31):
-        recs = trace.records[k]
-        assert sorted(recs) == [1, 2, 3, 4, 5]
-        for q, rec in recs.items():
-            assert rec.k == k  # all alive, so every record is fresh
-            assert rec.delta_tri > 0
+        assert trace.live[k].all()  # all alive, so every step is tested
+        for i in range(5):
+            assert np.isfinite(trace.r_norm[k, i])
+            assert trace.delta_tri[k, i] > 0
             if k <= 25:
-                assert rec.delta_inf is not None
-                assert rec.delta_hat == min(rec.delta_inf, rec.delta_tri)
+                assert not np.isnan(trace.delta_inf[k, i])
+                assert trace.delta_hat[k, i] == min(trace.delta_inf[k, i], trace.delta_tri[k, i])
             else:
-                assert rec.delta_inf is None
-                assert rec.delta_hat == rec.delta_tri
-    assert trace.records[0] == {}
+                assert np.isnan(trace.delta_inf[k, i])
+                assert trace.delta_hat[k, i] == trace.delta_tri[k, i]
 
 
 def _sensor_pair_model():
@@ -266,9 +280,9 @@ def test_pipeline_eliminates_wrong_sensor_hypothesis():
     frozen = trace.snapshots[k_elim][2]
     later = trace.snapshots[-1][2]
     assert frozen is later
-    # its last record keeps the eliminating step's flag
-    assert trace.records[-1][2].eliminated is True
-    assert trace.records[-1][2].k == k_elim
+    # its last residual test is the eliminating step's, and it fails
+    assert trace.live[k_elim, 1] and not trace.live[k_elim + 1 :, 1].any()
+    assert trace.r_norm[k_elim, 1] > trace.delta_hat[k_elim, 1]
     # elimination count is nondecreasing and reaches Q - 1
     counts = [2 - len(s) for s in trace.active_sets]
     assert counts == sorted(counts)
@@ -289,7 +303,7 @@ def test_pipeline_all_modes_eliminated_fault():
     assert trace.fault is not None and "assumption" in trace.fault
     assert trace.fault_step is not None and trace.fault_step <= 5
     assert trace.final_active == ()
-    assert trace.fused[-1] is None
+    assert _fused(trace, -1) == []
     assert len(trace.active_sets) == trace.fault_step + 1
     assert trace.steps_recorded == trace.fault_step
 
@@ -324,14 +338,10 @@ def test_pipeline_excludes_infeasible_mode():
 
 def test_pipeline_deterministic():
     def signature(trace: RunTrace):
-        sig = [trace.states.tobytes(), trace.outputs.tobytes()]
-        for k in range(len(trace.active_sets)):
-            sig.append(tuple(trace.active_sets[k]))
-            for q in sorted(trace.records[k]):
-                rec = trace.records[k][q]
-                sig.append((q, rec.k, rec.r_norm, rec.delta_tri, rec.delta_hat,
-                            rec.delta_inf, rec.eliminated))
-                sig.append(trace.snapshots[k][q].xhat_kk.tobytes())
+        sig = [trace.states.tobytes(), trace.outputs.tobytes(), trace.active_sets]
+        sig.append(sorted(trace.eliminated_at.items()))
+        for name in ("r_norm", "delta_inf", "delta_tri", "delta_hat", "live", "xhat"):
+            sig.append(getattr(trace, name).tobytes())
         return sig
 
     cfg = benchmark_scenario(seed=7, horizon=30)
@@ -413,7 +423,7 @@ def _assert_matches_stepwise(trace, ref):
     assert trace.excluded == ref.excluded
     assert (trace.fault, trace.fault_step) == (ref.fault, ref.fault_step)
     assert trace.containment_violations == ref.containment_violations
-    assert len(trace.snapshots) == len(ref.snapshots) == len(trace.records)
+    assert len(trace.snapshots) == len(ref.snapshots) == len(ref.records) == trace.live.shape[0]
     for k, (snap, want_snap) in enumerate(zip(trace.snapshots, ref.snapshots)):
         assert snap.keys() == want_snap.keys()
         for q, st in snap.items():
@@ -425,17 +435,27 @@ def _assert_matches_stepwise(trace, ref):
                 assert st.dhat_prev is None, where
             else:
                 _assert_close(st.dhat_prev, want.dhat_prev, where)
-    for k, (recs, want_recs) in enumerate(zip(trace.records, ref.records)):
-        assert recs.keys() == want_recs.keys()
-        for q, rec in recs.items():
-            want = want_recs[q]
+    # the oracle's latest record of each mode is fresh at the steps the
+    # trace marks live; the trace's entries are NaN at every other step
+    for k, want_recs in enumerate(ref.records):
+        assert set(want_recs) <= set(trace.mode_ids)
+        for i, q in enumerate(trace.mode_ids):
+            want = want_recs.get(q)
             where = f"step {k}, mode {q}"
-            fields = ("k", "delta_inf", "delta_tri", "delta_hat", "eliminated")
-            assert [getattr(rec, f) for f in fields] == [getattr(want, f) for f in fields], where
-            xstar = ref.snapshots[want.k][q].xhat_star
-            u, y = trace.inputs[want.k], trace.outputs[want.k]
+            got = [trace.delta_inf[k, i], trace.delta_tri[k, i], trace.delta_hat[k, i]]
+            if want is None or want.k != k:
+                assert not trace.live[k, i], where
+                assert np.isnan([trace.r_norm[k, i], *got]).all(), where
+                continue
+            assert trace.live[k, i], where
+            got[0] = None if np.isnan(got[0]) else got[0]
+            got.append(k == trace.eliminated_at[q])
+            want_fields = [want.delta_inf, want.delta_tri, want.delta_hat, want.eliminated]
+            assert got == want_fields, where
+            xstar = ref.snapshots[k][q].xhat_star
+            u, y = trace.inputs[k], trace.outputs[k]
             scale = residual_scale(bank[q][1], xstar, u, y)
-            assert abs(rec.r_norm - want.r_norm) <= REL * (want.r_norm + scale), where
+            assert abs(trace.r_norm[k, i] - want.r_norm) <= REL * (want.r_norm + scale), where
 
 
 @QUIET
