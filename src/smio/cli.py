@@ -15,19 +15,23 @@ Three subcommands:
     The built-in five-mode benchmark scenario with its persistent sparse
     attack, written to a default location.
 
-Exit codes are stable: 0 ok; 1 usage; 2 bad config; 3 every mode hypothesis
-eliminated mid-run; 4 detectability not certified; 5 a measurement became
-non-finite mid-run (the plant left the floating-point range).  Floats in
-the CSV are printed with 17 significant digits so a parsed trace
-reproduces the recorded thresholds and elimination flags bit-for-bit, and
-the same config and seed always produce byte-identical files.
+Exit codes are stable: 0 ok; 1 usage (including an ``--out`` that cannot be
+written; a missing directory or a directory is reported before the run or
+the analysis); 2 bad config; 3 every mode hypothesis eliminated mid-run; 4
+detectability not certified; 5 a measurement became non-finite mid-run
+(the plant left the floating-point range).  Floats in the CSV are printed with 17 significant digits so a
+parsed trace reproduces the recorded thresholds and elimination flags
+bit-for-bit, and the same config and seed always produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -76,6 +80,24 @@ EXIT_NONFINITE = 5
 
 class ConfigError(ValueError):
     """The scenario config file cannot be used as given."""
+
+
+def _check_writable(path) -> None:
+    """Raise the :class:`OSError` that opening ``path`` for writing would
+    raise when it is a directory, or its directory is missing or not
+    writable.  Only stat calls are made, so nothing is created."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.lexists(directory) else errno.ENOENT
+    elif not path:
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 # --------------------------------------------------------------- config file
@@ -292,8 +314,8 @@ def load_scenario(path, seed: int | None = None, horizon: int | None = None) -> 
 # ----------------------------------------------------------------- trace CSV
 
 
-# Steps of the trace CSV formatted per write: bounds the nested lists and the
-# text held at once (about 6 KB per step on the built-in plant).
+# Steps of the trace CSV formatted per write: bounds the tables and the text
+# held at once (a peak of about 7 KB per step on the built-in plant).
 _CSV_CHUNK = 1024
 
 
@@ -305,17 +327,6 @@ def trace_header(n: int) -> list[str]:
     )
 
 
-def _row_format(live: bool, has_inf: bool, has_dd: bool, n: int) -> str:
-    """One %-format for a mode row of :func:`write_trace_csv`; an empty
-    field consumes its value with ``%.0s``."""
-    num, empty = "%.17g", "%.0s"
-    fields = ["%d", "%d"]
-    fields += [num if live else empty, num if has_inf else empty]
-    fields += [num if live else empty] * 2
-    fields += ["%d"] + [num] * (n + 1) + [num if has_dd else empty, "%d"]
-    return ",".join(fields) + "\r\n"
-
-
 def write_trace_csv(trace: RunTrace, path) -> None:
     """Write one row per (step, mode) plus a fused row per step.
 
@@ -324,54 +335,64 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     estimate columns) so every stream spans the recorded horizon.  The fused
     row carries only the surviving-mode count — the global estimate is the
     union of the per-mode balls already present in the same step's rows.
-    Rows end in CRLF, as :mod:`csv` writes them.  The text is formatted and
-    written :data:`_CSV_CHUNK` steps at a time; within a chunk, each run of
-    consecutive steps whose rows fill the same fields is formatted by one
-    ``%`` over one format repeated for the run.
+    Rows end in CRLF, as :mod:`csv` writes them, and floats are written as
+    ``%.17g``.
+
+    The text is built and written :data:`_CSV_CHUNK` steps at a time, as a
+    sequence of tokens: a step number, a field with its leading comma (a
+    lone comma for an empty field), a row's end.  A mode row is ``n+11``
+    tokens and a fused row four.  The chunk's float fields are formatted
+    once per distinct bit pattern (so ``-0.0`` stays apart from ``0.0``),
+    and one index table of shape ``(steps, modes*(n+11)+4)`` picks every
+    row's tokens, which one join turns into the chunk's text.
     """
     n = trace.config.model.n
     steps, modes = trace.live.shape
+    width = n + 11
     active = np.array([len(a) for a in trace.active_sets])
     elim_at = np.array([trace.eliminated_at[q] or steps for q in trace.mode_ids])
-    formats = [_row_format(bool(c & 4), bool(c & 2), bool(c & 1), n) for c in range(8)]
-    fused = "%d,fused" + "," * (n + 8) + "%d\r\n"
+    # the tokens every chunk shares; ",0" and ",1" also serve the eliminated flag
+    empty, crlf, fused, mode0 = 0, 1, 2, 3
+    fixed = [",", "\r\n", ",fused" + "," * (n + 7)] + [f",{q}" for q in trace.mode_ids]
+    count0 = len(fixed)
+    fixed += [f",{a}" for a in range(modes + 1)]
+    step0 = len(fixed)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(trace_header(n)) + "\r\n")
         for start in range(0, steps, _CSV_CHUNK):
             block = slice(start, min(start + _CSV_CHUNK, steps))
             k = np.arange(block.start, block.stop)
+            # a mode row's float fields: r_norm, the three thresholds, xhat, delta_x, delta_d
+            floats = np.empty((k.size, modes, n + 6))
+            for j, column in enumerate((trace.r_norm, trace.delta_inf, trace.delta_tri, trace.delta_hat)):
+                floats[:, :, j] = column[block]
+            floats[:, :, 4 : n + 4] = trace.xhat[block]
+            floats[:, :, n + 4] = trace.delta_x[block]
+            floats[:, :, n + 5] = trace.delta_d[block]
+            bits, float_token = np.unique(floats.view(np.uint64), return_inverse=True)
+            text = ("\0,%.17g" * bits.size) % tuple(bits.view(float).tolist())
+            tokens = np.array(fixed + list(map(str, k.tolist())) + text.split("\0")[1:], dtype=object)
+            float_token = float_token.reshape(floats.shape) + (step0 + k.size)
 
-            def column(values) -> np.ndarray:
-                values = np.asarray(values, dtype=float)
-                return np.broadcast_to(values, (k.size, modes))[:, :, None]
-
-            # every field of every mode row as one float table, (steps, modes, fields)
-            table = np.concatenate(
-                [
-                    column(k[:, None]),
-                    column(trace.mode_ids),
-                    column(trace.r_norm[block]),
-                    column(trace.delta_inf[block]),
-                    column(trace.delta_tri[block]),
-                    column(trace.delta_hat[block]),
-                    column(k[:, None] >= elim_at),
-                    trace.xhat[block],
-                    column(trace.delta_x[block]),
-                    column(trace.delta_d[block]),
-                    column(active[block][:, None]),
-                ],
-                axis=2,
-            )
-            # one row of values per step: its mode rows, then its fused row
-            values = np.hstack([table.reshape(k.size, -1), k[:, None], active[block][:, None]])
-            # which fields a row fills: residual test ran, delta_inf exists, delta_d exists
+            # which fields a row fills: the residual test ran, delta_inf exists, delta_d exists
             live = trace.live[block]
             has_inf = live & (k <= trace.config.k_inf_cutoff)[:, None]
-            key = live * 4 + has_inf * 2 + (k >= 1)[:, None]
-            edges = [0, *(np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1).tolist(), k.size]
-            for a, b in zip(edges, edges[1:]):
-                fmt = "".join(formats[c] for c in key[a].tolist()) + fused
-                fh.write((fmt * (b - a)) % tuple(values[a:b].ravel().tolist()))
+            has_dd = np.broadcast_to((k >= 1)[:, None], live.shape)
+            step = step0 + np.arange(k.size)[:, None]
+            counts = count0 + active[block][:, None]
+            index = np.empty((k.size, modes * width + 4), dtype=np.intp)
+            rows = index[:, : modes * width].reshape(k.size, modes, width)
+            rows[:, :, 0] = step
+            rows[:, :, 1] = np.arange(mode0, mode0 + modes)
+            filled = np.stack([live, has_inf, live, live], axis=2)
+            rows[:, :, 2:6] = np.where(filled, float_token[:, :, :4], empty)
+            rows[:, :, 6] = count0 + (k[:, None] >= elim_at)
+            rows[:, :, 7 : n + 9] = float_token[:, :, 4:]
+            rows[:, :, n + 8] = np.where(has_dd, rows[:, :, n + 8], empty)
+            rows[:, :, n + 9] = counts
+            rows[:, :, n + 10] = crlf
+            index[:, -4:] = np.hstack([step, np.full_like(step, fused), counts, np.full_like(step, crlf)])
+            fh.write("".join(tokens[index.ravel()].tolist()))
 
 
 def summary_document(trace: RunTrace) -> dict:
@@ -402,6 +423,7 @@ def write_summary(trace: RunTrace, csv_path) -> Path:
 
 
 def _run_and_write(cfg: ScenarioConfig, out) -> int:
+    _check_writable(out)  # the summary goes to the same directory
     trace = run_pipeline(cfg)
     write_trace_csv(trace, out)
     summary_path = write_summary(trace, out)
@@ -462,6 +484,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(
             "tuning must supply both R_x and R_y (or neither) for condition (i)"
         )
+    if args.out:
+        _check_writable(args.out)
 
     bank, excluded = build_bank(model, modes)
     if not bank:
@@ -580,6 +604,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except OSError as exc:  # reading the config raises ConfigError, so an output failed
+        print(f"smio {args.command}: error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, SimulationError) as exc:
         print(f"smio {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

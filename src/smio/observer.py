@@ -255,23 +255,46 @@ def radius_sequence(
     """``(delta_x, delta_d)`` at steps 0..steps from the recursion
     :func:`step` applies; ``delta_d[0]`` is NaN (no input estimate yet).
 
-    A step is a function of the previous ``delta_x`` alone, so once a step
-    returns the ``delta_x`` it was given (a fixed point, or ``inf`` after an
-    overflow), every later step returns what it returned, and the rest is
-    filled with it."""
+    Only ``delta_x`` is stepped, one scalar step at a time; ``delta_d[k]``
+    is a function of ``delta_x[k-1]`` alone, so it is then formed for all
+    steps at once, in place, with :func:`_radii`'s operations in their
+    order and grouping.  Once a step returns the ``delta_x`` it was given
+    (a fixed point, or ``inf`` after an overflow), every later step returns
+    what it returned, and the rest is filled with it."""
+    ed, eta_w, eta_v = errdyn, model.eta_w, model.eta_v
     delta_x = np.empty(steps + 1)
-    delta_d = np.empty(steps + 1)
     dx = delta_x[0] = float(model.delta_x0)
-    delta_d[0] = np.nan
-    eta_w, eta_v = model.eta_w, model.eta_v
+    theta, w_term, v_term = ed.theta, ed.w_gain * eta_w, ed.v_gain * eta_v
     for k in range(1, steps + 1):
-        nx, delta_d[k] = _radii(errdyn, eta_w, eta_v, dx)
+        nx = (theta * dx if theta else 0.0) + w_term + v_term
         delta_x[k] = nx
         if nx == dx:  # never for NaN; +0.0 and -0.0 step alike (the coefficients are norms)
             delta_x[k + 1 :] = nx
-            delta_d[k + 1 :] = delta_d[k]
             break
         dx = nx
+
+    def scale(out: np.ndarray, radius: np.ndarray, coeff: float) -> None:
+        # _times on every entry: an exactly-zero coefficient gives 0
+        if coeff:
+            np.multiply(radius, coeff, out=out)
+        else:
+            out.fill(0.0)
+
+    prev = delta_x[:-1]
+    delta_d = np.empty(steps + 1)
+    delta_d[0] = np.nan
+    first, second = delta_d[1:], np.empty(steps)
+    with np.errstate(over="ignore"):  # an overflow gives inf, as the scalar recursion does
+        scale(second, prev, ed.a_pred)  # delta_pred
+        second += ed.v_pred * eta_v
+        second += eta_w
+        scale(second, second, ed.c2)
+        second += eta_v
+        scale(second, second, ed.v2m2)
+        scale(first, prev, ed.c1)
+        first += eta_v
+        scale(first, first, ed.v1m1)
+        first += second
     return delta_x, delta_d
 
 

@@ -422,11 +422,22 @@ def residual_conditioned(dec_q, dec_qstar, xhat_star_q, u_k, y_k):
     return dec_qstar.T2 @ y_k - dec_q.C2 @ xhat_star_q - dec_q.D2 @ u_k
 
 
+def _row_format(live: bool, has_inf: bool, has_dd: bool, n: int) -> str:
+    """One %-format for a mode row of the trace CSV; an empty field consumes
+    its value with ``%.0s``."""
+    num, empty = "%.17g", "%.0s"
+    fields = ["%d", "%d"]
+    fields += [num if live else empty, num if has_inf else empty]
+    fields += [num if live else empty] * 2
+    fields += ["%d"] + [num] * (n + 1) + [num if has_dd else empty, "%d"]
+    return ",".join(fields) + "\r\n"
+
+
 def row_by_row_trace_csv(trace, path):
     """The trace CSV of ``cli.write_trace_csv``, the whole trace at once
     and one ``%`` per row: each mode row's fields from one float table, its
     format picked by which fields it fills, and a fused row per step."""
-    from smio.cli import _row_format, trace_header
+    from smio.cli import trace_header
 
     n = trace.config.model.n
     steps, modes = trace.live.shape

@@ -4,15 +4,20 @@ contract (0 ok / 1 usage / 2 config / 3 all-eliminated / 4 not-certified /
 5 non-finite measurement)."""
 
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import row_by_row_trace_csv
 from smio import cli
@@ -155,26 +160,36 @@ def _one_sensor_overflow_config(x0):
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _late_elimination_trace():
+    cfg = pair_config()
+    cfg["scenario"]["horizon"] = 60
+    cfg["attack"] = {"kind": "explicit", "values": [[0.0]] * 33 + [[8.0]] * 28}
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_pipeline(cli.load_scenario(write_config(Path(tmp), cfg)))
+
+
 @pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")
 def test_csv_writer_equals_the_row_by_row_writer(tmp_path, monkeypatch):
-    late = pair_config()
-    late["scenario"]["horizon"] = 60
-    late["attack"] = {"kind": "explicit", "values": [[0.0]] * 33 + [[8.0]] * 28}
-
     def run(cfg, name):
         return run_pipeline(cli.load_scenario(write_config(tmp_path, cfg, f"{name}.json")))
 
     traces = {
         # mode 2 eliminated at step 33: inside a 7-step chunk, past the cutoff
-        "late_elimination": run(late, "late"),
+        "late_elimination": _late_elimination_trace(),
         "crosses_cutoff": run_pipeline(benchmark_scenario(seed=2, horizon=40)),
         "nonfinite": run(_one_sensor_overflow_config(0.05), "nonfinite"),
         "step_zero_only": run(_one_sensor_overflow_config(1e307), "step_zero_only"),
+        "builtin_h1000": run_pipeline(benchmark_scenario(seed=0, horizon=1000)),
     }
     assert traces["late_elimination"].eliminated_at == {1: None, 2: 33}
     assert traces["crosses_cutoff"].steps_recorded > traces["crosses_cutoff"].config.k_inf_cutoff
     assert traces["nonfinite"].fault_kind == "nonfinite_output"
     assert traces["step_zero_only"].steps_recorded == 0
+    # past the zero tail (level 248) the thresholds repeat, and every radius ends at inf
+    builtin = traces["builtin_h1000"]
+    assert (builtin.delta_tri[-1] == builtin.delta_tri[-2]).all()
+    assert np.isinf(builtin.delta_x[-1]).all()
     for name, trace in traces.items():
         want = tmp_path / f"{name}_oracle.csv"
         row_by_row_trace_csv(trace, want)
@@ -183,6 +198,47 @@ def test_csv_writer_equals_the_row_by_row_writer(tmp_path, monkeypatch):
             got = tmp_path / f"{name}_{chunk}.csv"
             cli.write_trace_csv(trace, got)
             assert got.read_bytes() == want.read_bytes(), (name, chunk)
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.5e-310, -1e-310, 1e300, -1e300, 1.0, 0.1,
+]
+_FLOAT_FIELDS = ["r_norm", "delta_inf", "delta_tri", "delta_hat", "delta_x", "delta_d", "xhat"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_FLOAT_FIELDS),
+            st.integers(0, 60),  # first step
+            st.integers(1, 61),  # number of steps
+            st.sampled_from([None, 0, 1]),  # one mode, or every mode
+            st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(width=64)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_csv_writer_equals_the_row_by_row_writer_on_injected_values(injections):
+    """Signed zeros, NaNs, infinities, subnormals, huge values and values
+    repeated across modes and steps are written as the oracle writes them,
+    whatever the chunk size."""
+    trace = _late_elimination_trace()
+    arrays = {name: getattr(trace, name).copy() for name in _FLOAT_FIELDS}
+    for name, first, length, mode, value in injections:
+        rows = slice(first, first + length)
+        arrays[name][rows, slice(None) if mode is None else mode] = value
+    trace = dataclasses.replace(trace, **arrays)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        want = Path(tmp) / "oracle.csv"
+        row_by_row_trace_csv(trace, want)
+        for chunk in (1, 7, trace.steps_recorded + 1):
+            mp.setattr(cli, "_CSV_CHUNK", chunk)
+            got = Path(tmp) / f"chunk_{chunk}.csv"
+            cli.write_trace_csv(trace, got)
+            assert got.read_bytes() == want.read_bytes(), chunk
 
 
 # ----------------------------------------------------------------- simulate
@@ -512,6 +568,42 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, pair_config())
     assert cli.main(["analyze", "--config", path, "--rx", "0.5"]) == 1
     assert "--ry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark", "analyze"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command, where):
+    """An --out that cannot be opened exits 1 with one line, before any
+    pipeline or analysis work."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_work)
+    monkeypatch.setattr(cli, "build_bank", no_work)
+    out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+    argv = [command, "--out", str(out)]
+    if command != "benchmark":
+        argv += ["--config", write_config(tmp_path, pair_config())]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    reason = "No such file or directory" if where == "missing_dir" else "Is a directory"
+    assert err == f"smio {command}: error: cannot write '{out}': {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")
+def test_write_failure_after_the_run_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """An output that passes the check but fails to open (the check cannot
+    see every cause) still ends in exit 1 and one line."""
+    out = tmp_path / "x.csv"
+
+    def refuse(_trace, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "write_trace_csv", refuse)
+    assert cli.main(["benchmark", "--horizon", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"smio benchmark: error: cannot write '{out}': Permission denied\n"
 
 
 def test_help_exits_0(capsys):

@@ -310,4 +310,47 @@ def test_radius_tail_matches_full_recursion_at_zero_radii(delta_x0, eta):
         A=0.5, ltilde=0.5, eta_w=eta, eta_v=eta, delta_x0=delta_x0
     )
     # theta = 0.25: a radius of 1.0 with no noise underflows to 0.0 near step 537
-    assert _assert_radii_match_full_recursion(dyn, model, 700) is not None
+    tail = _assert_radii_match_full_recursion(dyn, model, 700)
+    assert tail is not None
+    if eta == 0.0 and delta_x0 == 0.0:
+        assert tail == 1  # a zero radius with no noise is a fixed point from the first step
+
+
+def _builtin_dynamics():
+    import warnings
+
+    from smio.sim import benchmark_model, benchmark_modes, build_bank
+
+    model = benchmark_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bank, _ = build_bank(model, benchmark_modes(model))
+    return model, bank[1][3]
+
+
+def test_radius_sequence_with_theta_zero():
+    model, dyn = _builtin_dynamics()
+    model = dataclasses.replace(model, delta_x0=1.0)
+    dyn = dataclasses.replace(dyn, theta=0.0)
+    # the first step forgets delta_x0; the second repeats the first
+    assert _assert_radii_match_full_recursion(dyn, model, 50) == 2
+
+
+@pytest.mark.parametrize("zero", ["a_pred", "c1", "c2", "v1m1", "v2m2"])
+def test_radius_sequence_zero_coefficient_times_inf_radius(zero):
+    model, dyn = _builtin_dynamics()
+    # delta_x overflows to inf at step 1; a zero coefficient still gives 0
+    model = dataclasses.replace(model, delta_x0=1e308)
+    dyn = dataclasses.replace(dyn, theta=4.0, **{zero: 0.0})
+    assert _assert_radii_match_full_recursion(dyn, model, 30) == 2
+    delta_x, delta_d = radius_sequence(dyn, model, 30)
+    assert np.isinf(delta_x[1:]).all() and not np.isnan(delta_d[1:]).any()
+
+
+def test_radius_sequence_with_nan_initial_radius():
+    model, dyn = _builtin_dynamics()
+    model = dataclasses.replace(model, delta_x0=float("nan"))
+    # NaN never repeats itself, so every step is taken
+    assert _assert_radii_match_full_recursion(dyn, model, 40) is None
+    delta_x, delta_d = radius_sequence(dyn, model, 40)
+    assert np.isnan(delta_x).all() and np.isnan(delta_d).all()
