@@ -84,6 +84,13 @@ ENUM_BUDGET_DEFAULT = 16
 # (block * (2c + r) floats) whatever the column count c.
 _ENUM_CHUNK = 2048
 
+# threshold_inf screens the vertices of maps with at least this many
+# columns, and only while T (its margin's scale) lies in this range.
+_SCREEN_MIN_COLS = 10
+_SCREEN_T_MIN = 2.0**-900
+_SCREEN_T_MAX = 2.0**900
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
     """:func:`_norm2` of each matrix ``stack[i]`` of a 3-D block, in one
@@ -467,6 +474,53 @@ def threshold_inf(sm: StackedResidualModel, enum_budget: int = ENUM_BUDGET_DEFAU
     vertex enumeration when the column count fits the budget; otherwise the
     row-wise relaxation ||abs(A) @ bounds||_2, which over-approximates the
     vertex maximum and therefore stays a sound elimination threshold.
+
+    Enumeration covers the 2^(c-1) sign vertices of the c columns (column
+    0's sign fixed, by symmetry); bit c-1 of a vertex index set means
+    column c is negative.  :func:`_vertex_screen` screens every vertex at
+    once, and only the vertices whose screened value g is within a margin
+    W of the largest are evaluated, with the arithmetic of the full walk:
+    the sign row, ``signs * b``, ``einsum`` and the row sum of squares, in
+    blocks of ``_ENUM_CHUNK``.  ``einsum`` gives a vertex the same floats
+    whichever vertices share its call, and a maximum is exact, so the
+    result is the full walk's float bit for bit as long as the vertex that
+    holds the walk's maximum F* is a candidate.
+
+    Margin.  Let f be a vertex's exact squared value, y_r its exact row
+    values, a_r = sum_c |A_rc b_c|, T = sum_r a_r^2 (so f <= T), u = 2^-53
+    and gamma_n = n u / (1 - n u).  A sum of n terms, each a product
+    rounded once or an exact one, is within gamma_n times the sum of the
+    terms' magnitudes, in any order of summation (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.1).
+
+    * Evaluation: a row value F_r sums c rounded products, so
+      |F_r - y_r| <= gamma_c a_r and |F_r| <= (1 + gamma_c) a_r; F sums
+      r rounded squares, and F_r^2 - y_r^2 = (F_r - y_r)(F_r + y_r), so
+      |F - f| <= [gamma_c (2 + gamma_c) + gamma_r (1 + gamma_c)^2] T,
+      about (2c + r) u T.
+    * Screen: with P = (A * b).T rounded once and exact signs, an entry
+      of ``lo`` (h low columns) or ``hi`` sums at most m = max(h, c - h)
+      terms, so lo_r + hi_r is within gamma_m a_r of y_r and
+      |lo_r| + |hi_r| <= (1 + gamma_m) a_r.  g's three terms are sums of
+      r products, joined by two additions, and their magnitudes add up to
+      at most sum_r (|lo_r| + |hi_r|)^2, so
+      |g - f| <= [gamma_m (2 + gamma_m) + gamma_{r+2} (1 + gamma_m)^2] T,
+      about (2m + r + 2) u T.
+
+    Both are at most half of e = 4 (c + r + 4) u T (:func:`_screen_error`).
+    Then every vertex has g <= F* + e and the one that holds F* has
+    g >= F* - e, so a margin of 2e would keep it; W = 2 (e + e) leaves
+    the other 2e for the rounding of T itself (relative (c + r + 1) u)
+    and of max g - W (at most u (T + W)).  Ties (zero or repeated
+    columns, integer data) only add candidates, never more than the full
+    walk.
+
+    Fallback: every vertex is a candidate when T is not finite (a NaN or
+    infinite entry); when T < 2^-900, a floor kept far above the point
+    where the absolute error of underflowing products (up to 2^-1075
+    each, outside the gamma bounds) could approach u T; when T > 2^900,
+    where g's terms could overflow; and below ``_SCREEN_MIN_COLS``
+    columns, where the screen costs more than the vertices it skips.
     """
     A = sm.Aq_k
     b = sm.bounds
@@ -476,12 +530,24 @@ def threshold_inf(sm: StackedResidualModel, enum_budget: int = ENUM_BUDGET_DEFAU
     if rows == 1:
         return float(np.abs(A[0]) @ b)
     if cols <= enum_budget:
-        # symmetry: fix the first coordinate's sign; walk the vertices in blocks
         count = 1 << (cols - 1)
+        cand = None
+        if cols >= _SCREEN_MIN_COLS:
+            with np.errstate(over="ignore", invalid="ignore"):  # T decides
+                P = (A * b).T
+                a = np.abs(P).sum(axis=0)
+                T = float(a @ a)
+            if _SCREEN_T_MIN <= T <= _SCREEN_T_MAX:
+                g = _vertex_screen(P)
+                cand = np.flatnonzero(g >= g.max() - 4.0 * _screen_error(rows, cols, T))
+        if cand is None:
+            idx_all = np.arange(count, dtype=np.uint64)[:, None]
+        else:
+            idx_all = cand.astype(np.uint64)[:, None]
         shifts = np.arange(cols - 1, dtype=np.uint64)[None, :]
         best = np.float64(0.0)
-        for start in range(0, count, _ENUM_CHUNK):
-            idx = np.arange(start, min(start + _ENUM_CHUNK, count), dtype=np.uint64)[:, None]
+        for start in range(0, idx_all.shape[0], _ENUM_CHUNK):
+            idx = idx_all[start : start + _ENUM_CHUNK]
             signs = np.ones((idx.shape[0], cols))
             signs[:, 1:] = 1.0 - 2.0 * ((idx >> shifts) & np.uint64(1))
             verts = signs * b
@@ -489,6 +555,35 @@ def threshold_inf(sm: StackedResidualModel, enum_budget: int = ENUM_BUDGET_DEFAU
             best = np.maximum(best, np.max(np.sum(vals * vals, axis=1)))
         return float(np.sqrt(best))
     return float(np.linalg.norm(np.abs(A) @ b))
+
+
+def _vertex_screen(P: np.ndarray) -> np.ndarray:
+    """Screened squared value g of every sign vertex of P = (A * b).T,
+    indexed as in :func:`threshold_inf`.  The signed sums of P's low rows
+    (row 0 kept +) and of its high rows are tabulated as ``lo`` and ``hi``
+    by one product each with a table of exact signs, and
+    g = ||lo||^2 + ||hi||^2 + 2 hi.lo for every pair at once through one
+    product ``hi @ lo.T``: the expansion of ||lo + hi||^2, within the error
+    that :func:`threshold_inf` bounds."""
+    cols = P.shape[0]
+    half = (cols + 1) // 2
+    bits = cols - half  # hi's sign bits; lo has half - 1 <= bits of them
+    idx = np.arange(1 << bits)[:, None]
+    signs = 1.0 - 2.0 * ((idx >> np.arange(bits)) & 1)
+    lo = P[0] + signs[: 1 << (half - 1), : half - 1] @ P[1:half]
+    hi = signs @ P[half:]
+    g = hi @ lo.T
+    g *= 2.0
+    g += np.einsum("jr,jr->j", lo, lo)
+    g += np.einsum("jr,jr->j", hi, hi)[:, None]
+    return g.ravel()
+
+
+def _screen_error(rows: int, cols: int, T: float) -> float:
+    """The bound e = 4 (cols + rows + 4) u T, u = 2^-53, on how far the
+    screened value g and the evaluated value F of a vertex can each be from
+    its exact squared value (derived in :func:`threshold_inf`)."""
+    return 4.0 * (cols + rows + 4) * _UNIT_ROUNDOFF * T
 
 
 def threshold_tri(

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Everything in this file is deliberately written the slow, obvious way:
-brute-force vertex enumeration, fixed-point Riccati iteration, symbolic
+brute-force vertex enumeration (in floats, and exactly in rationals), fixed-point Riccati iteration, symbolic
 invariant zeros, a direct (matrix_power) assembly of the stacked residual
 map, a one-level-at-a-time replay of the threshold power sequence, the
 estimation pipeline stepped one observer update at a time with a record
@@ -21,6 +21,7 @@ never the other way around.
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,10 +49,11 @@ def brute_force_vertex_max(A, bounds):
     return best
 
 
-def vertex_max_one_shot(A, bounds):
-    """max ||A @ t||_2 over the sign vertices with the first sign fixed,
-    every vertex in one array: the same per-vertex arithmetic as
-    ``threshold_inf``'s enumeration branch, with no blocking."""
+def vertex_values_one_shot(A, bounds):
+    """Squared value ||A @ t||^2 of every sign vertex t (the first sign
+    fixed, bit c-1 of the index set when column c is negative), every
+    vertex in one array: the same per-vertex arithmetic as
+    ``threshold_inf``'s evaluation, with no blocking and no screen."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(bounds, dtype=float)
     cols = b.size
@@ -62,7 +64,32 @@ def vertex_max_one_shot(A, bounds):
     signs[:, 1:] = 1.0 - 2.0 * ((idx >> shifts) & np.uint64(1))
     verts = signs * b
     vals = np.einsum("rc,vc->vr", A, verts)
-    return float(np.sqrt(np.max(np.sum(vals * vals, axis=1))))
+    return np.sum(vals * vals, axis=1)
+
+
+def vertex_max_one_shot(A, bounds):
+    """max ||A @ t||_2 over the sign vertices with the first sign fixed,
+    from :func:`vertex_values_one_shot`: the walk over every vertex that
+    ``threshold_inf`` replaced by a screen and an evaluation of the few
+    candidates.  It is the reference the screened walk must match bit for
+    bit, NaN and inf included."""
+    return float(np.sqrt(np.max(vertex_values_one_shot(A, bounds))))
+
+
+def vertex_values_exact(A, bounds):
+    """Exact squared value of every sign vertex, as ``Fraction`` objects
+    indexed as in :func:`vertex_values_one_shot`, from the floats' exact
+    values with no rounding anywhere."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(bounds, dtype=float)
+    rows, cols = A.shape
+    terms = [[Fraction(A[r, c]) * Fraction(b[c]) for r in range(rows)] for c in range(cols)]
+    sums = [terms[0]]
+    for c in range(1, cols):
+        sums = [[y + t for y, t in zip(ys, terms[c])] for ys in sums] + [
+            [y - t for y, t in zip(ys, terms[c])] for ys in sums
+        ]
+    return [sum(y * y for y in ys) for ys in sums]
 
 
 def riccati_difference_gain(Abar, C2, tol=1e-13, max_iter=200000):

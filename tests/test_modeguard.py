@@ -2,9 +2,13 @@
 
 import dataclasses
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smio import modeguard
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
@@ -39,6 +43,8 @@ from oracles import (
     scalar_tri_series_limit,
     stacked_blocks_direct,
     vertex_max_one_shot,
+    vertex_values_exact,
+    vertex_values_one_shot,
 )
 
 
@@ -152,6 +158,173 @@ def test_threshold_inf_blocked_walk_equals_one_shot(monkeypatch, chunk):
         b = rng.uniform(0.1, 2.0, size=cols)
         sm = StackedResidualModel(k=1, n=1, l=1, Aq_k=A, bounds=b)
         assert threshold_inf(sm) == vertex_max_one_shot(A, b)
+
+
+_MAP_KINDS = ["gaussian", "integer", "repeated", "rank_one", "zero", "nonfinite"]
+
+
+@st.composite
+def _enumerated_maps(draw):
+    """(A, b) with 2-5 rows and 1-16 columns: Gaussian entries spread over
+    six decades per column, integer entries with exact ties, zero,
+    duplicated and negated columns, rank one, all zero, or a NaN or
+    infinite entry; A scaled by 1e-150 to 1e150."""
+    rows = draw(st.integers(2, 5))
+    cols = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(_MAP_KINDS))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, cols)
+    b = rng.uniform(0.0, 2.0, cols)
+    if kind == "integer":
+        A = rng.integers(-3, 4, (rows, cols)).astype(float)
+        b = rng.integers(0, 3, cols).astype(float)
+    elif kind == "repeated":
+        for c in range(1, cols):
+            source = int(rng.integers(0, c))
+            choice = int(rng.integers(0, 4))
+            if choice == 0:
+                A[:, c] = 0.0
+            elif choice < 3:
+                A[:, c] = (1.0 if choice == 1 else -1.0) * A[:, source]
+                b[c] = b[source]
+    elif kind == "rank_one":
+        A = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+    elif kind == "zero":
+        A = np.zeros((rows, cols))
+    elif kind == "nonfinite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if draw(st.booleans()):
+            A[int(rng.integers(0, rows)), int(rng.integers(0, cols))] = bad
+        else:
+            b[int(rng.integers(0, cols))] = abs(bad)
+    return A * scale, b
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_enumerated_maps())
+def test_threshold_inf_screened_walk_equals_one_shot(case):
+    """The screened walk returns the full walk's float bit for bit, ties,
+    cancellations, huge and tiny scales and non-finite entries included,
+    whether the candidates share one block or take one block each."""
+    A, b = case
+    sm = StackedResidualModel(k=1, n=1, l=1, Aq_k=A, bounds=b)
+    with np.errstate(all="ignore"):
+        want = _bits(vertex_max_one_shot(A, b))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        for chunk in (1, 7, modeguard._ENUM_CHUNK):
+            mp.setattr(modeguard, "_ENUM_CHUNK", chunk)
+            assert _bits(threshold_inf(sm)) == want, chunk
+
+
+def test_threshold_inf_screens_only_finite_wide_maps(monkeypatch):
+    calls = []
+    screen = modeguard._vertex_screen
+
+    def spy(P):
+        calls.append(P.shape)
+        return screen(P)
+
+    monkeypatch.setattr(modeguard, "_vertex_screen", spy)
+    rng = np.random.default_rng(3)
+    wide = modeguard._SCREEN_MIN_COLS
+    for cols, scale, bad in [
+        (wide, 1.0, None),
+        (16, 1e100, None),
+        (wide - 1, 1.0, None),
+        (16, 1e-150, None),
+        (16, 1e150, None),
+        (16, 1.0, math.nan),
+        (16, 1.0, math.inf),
+    ]:
+        A = rng.standard_normal((3, cols)) * scale
+        if bad is not None:
+            A[1, 5] = bad
+        b = rng.uniform(0.1, 2.0, cols)
+        sm = StackedResidualModel(k=1, n=1, l=1, Aq_k=A, bounds=b)
+        with np.errstate(all="ignore"):
+            assert _bits(threshold_inf(sm)) == _bits(vertex_max_one_shot(A, b))
+    assert calls == [(wide, 3), (16, 3)]
+
+
+def test_threshold_inf_margin_keeps_the_evaluated_maximum():
+    """On maps of thirds, many vertices tie exactly and rounding decides
+    which is largest, often differently in the screen and in the
+    evaluation: the margin must keep the evaluation's largest vertex."""
+    rng = np.random.default_rng(1)
+    split = 0
+    for _ in range(1000):
+        A = rng.integers(-3, 4, (2, 10)) / 3.0
+        b = np.full(10, 0.1)
+        g = modeguard._vertex_screen((A * b).T)
+        F = vertex_values_one_shot(A, b)
+        if np.flatnonzero(F == F.max())[0] in np.flatnonzero(g == g.max()):
+            continue
+        split += 1
+        sm = StackedResidualModel(k=1, n=1, l=1, Aq_k=A, bounds=b)
+        assert _bits(threshold_inf(sm)) == _bits(vertex_max_one_shot(A, b))
+    assert split >= 1
+
+
+def _gamma(n: int) -> Fraction:
+    u = Fraction(1, 2**53)
+    return n * u / (1 - n * u)
+
+
+def _cancelling_map(rng, rows, cols):
+    """A map whose columns, signed by one random vertex, sum to nearly zero
+    in every row: that vertex's exact value is far below T, so its screened
+    value is dominated by rounding."""
+    A = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-2, 2, cols)
+    b = rng.uniform(0.1, 2.0, cols)
+    s = np.where(rng.random(cols) < 0.5, -1.0, 1.0)
+    s[0] = 1.0
+    A[:, -1] = -(A[:, :-1] * (s[:-1] * b[:-1])).sum(axis=1) / (s[-1] * b[-1])
+    A[:, -1] *= 1.0 + 1e-13 * rng.standard_normal(rows)
+    vertex = int(sum(1 << (c - 1) for c in range(1, cols) if s[c] < 0))
+    return A, b, vertex
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_threshold_inf_screen_and_evaluation_within_stated_error(seed):
+    """Against exact rational vertex values, the screen's g and the
+    evaluated value F stay within the bounds derived in threshold_inf's
+    docstring, and those stay within half of the e that sets its margin."""
+    rng = np.random.default_rng(seed)
+    for case in range(6):
+        rows = int(rng.integers(2, 6))
+        cols = int(rng.integers(2, 11))
+        vertex = None
+        if case % 3 == 0:
+            A, b, vertex = _cancelling_map(rng, rows, cols)
+        elif case % 3 == 1:
+            A = rng.integers(-3, 4, (rows, cols)).astype(float)
+            b = rng.integers(0, 3, cols).astype(float)
+        else:
+            A = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-6, 6, cols)
+            b = rng.uniform(0.0, 2.0, cols)
+        exact = vertex_values_exact(A, b)
+        a = [sum(abs(Fraction(A[r, c]) * Fraction(b[c])) for c in range(cols)) for r in range(rows)]
+        T = sum(x * x for x in a)
+        half = (cols + 1) // 2
+        gm, gc = _gamma(max(half, cols - half)), _gamma(cols)
+        e_g = (gm * (2 + gm) + _gamma(rows + 2) * (1 + gm) ** 2) * T
+        e_f = (gc * (2 + gc) + _gamma(rows) * (1 + gc) ** 2) * T
+        P = (A * b).T
+        a_hat = np.abs(P).sum(axis=0)
+        e = Fraction(modeguard._screen_error(rows, cols, float(a_hat @ a_hat)))
+        assert max(e_g, e_f) <= e / 2
+        g = modeguard._vertex_screen(P)
+        F = vertex_values_one_shot(A, b)
+        if vertex is not None:
+            assert exact[vertex] < T * Fraction(1, 10**12)
+        for v, f in enumerate(exact):
+            assert abs(Fraction(g[v]) - f) <= e_g, (case, v)
+            assert abs(Fraction(F[v]) - f) <= e_f, (case, v)
 
 
 def test_threshold_inf_relaxation_dominates_vertices():
