@@ -9,7 +9,8 @@ eliminates the hypothesis outright.  Two thresholds are maintained — a
 vertex bound over the noise hypercube, taken at the first
 :data:`K_INF_CUTOFF_DEFAULT` steps only, and a closed-form triangle bound
 driven by the error dynamics — and their minimum is the operative test.
-A run's cutoff and vertex budget are the fixed constants
+:meth:`ThresholdTracker.walk` runs that test over a run's steps.  A
+run's cutoff and vertex budget are the fixed constants
 :data:`K_INF_CUTOFF_DEFAULT` and :data:`ENUM_BUDGET_DEFAULT`; the
 tracker's ``k_inf_cutoff`` and ``enum_budget`` parameters serve the
 stateless wrappers and offline checks.  All block matrices come from one
@@ -22,7 +23,6 @@ norms.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,9 +234,10 @@ class ThresholdTracker:
     running totals, with no product and no 2-norm call.
 
     :meth:`advance` gives one step's thresholds, with the enumerated one
-    up to ``k_inf_cutoff``; past it, :meth:`advance_tri` gives a block of
-    steps' triangle thresholds as one array, from the same expression
-    (:meth:`_tri`) that :meth:`threshold_tri` evaluates.  The
+    up to ``k_inf_cutoff``.  :meth:`walk` runs a mode's whole residual
+    test: step by step up to the cutoff, and past it the steps of one
+    block of levels at a time, from the expression (:meth:`_tri`) that
+    :meth:`threshold_tri` evaluates.  The
     :func:`build_stacked` / :func:`threshold_tri` functions are thin
     stateless wrappers over a throwaway tracker, and :func:`tri_limit`
     reads the first two levels and the boundary norms of one, so there is
@@ -281,7 +282,8 @@ class ThresholdTracker:
         self._nv_prev = _norm2(self._v_prev)
         self._nv_last = _norm2(self._v_last)
         # per-power state, one entry per computed level j (rows[j] =
-        # C2 Abar Ae^j); the computed levels run ahead of k
+        # C2 Abar Ae^j), ahead of k; the sums start with their values before
+        # level 0, so entry k-1 of each norm list is step k's term
         self._block = 1  # size of the next block of levels
         self._last_row: np.ndarray | None = None
         self._rows: list[np.ndarray] = []
@@ -289,9 +291,9 @@ class ThresholdTracker:
         self._bprod: list[np.ndarray] = []
         self._mvprod: list[np.ndarray] = []
         self._row_norm: list[float] = []
-        self._cum_w: list[float] = []
-        self._cum_mv: list[float] = []
-        self._bev1_norm: list[float] = []
+        self._cum_w: list[float] = [0.0]
+        self._cum_mv: list[float] = [0.0, 0.0]
+        self._bev1_norm: list[float] = [self._nv0_at_k1]
         self._zero_tail = False  # every level from the next block on is zero
 
     def extend(self, levels: int = 1) -> None:
@@ -336,7 +338,7 @@ class ThresholdTracker:
         for cum, prod in ((self._cum_w, wprod), (self._cum_mv, mvprod)):
             # seeded with the previous total, cumsum adds left to right,
             # so every running sum is the float a Python loop would give
-            terms = np.concatenate(([cum[-1] if cum else 0.0], _stacked_norm2(prod)))
+            terms = np.concatenate(([cum[-1]], _stacked_norm2(prod)))
             cum += np.cumsum(terms)[1:].tolist()
         self._rows += levels[:keep]
         for kept, block in ((self._wprod, wprod), (self._bprod, bprod), (self._mvprod, mvprod)):
@@ -368,46 +370,60 @@ class ThresholdTracker:
             return dinf, dtri, min(dinf, dtri)
         return None, dtri, dtri
 
-    def advance_tri(self, levels: int) -> np.ndarray:
-        """Move ``levels`` steps ahead, all past ``k_inf_cutoff``, and return
-        the triangle threshold of each step passed, as one array: the floats
-        :meth:`threshold_tri` gives at each of them."""
-        first = self.k + 1
-        if first <= self.k_inf_cutoff:
-            raise ValueError(
-                f"step {first} is not past k_inf_cutoff={self.k_inf_cutoff}"
-            )
-        self.extend(levels)
-        return self._tri(*map(np.array, self._tri_terms(first, self.k)))
+    def walk(self, r_norm: np.ndarray, scale, out: np.ndarray) -> int | None:
+        """Test step k's residual norm ``r_norm[k]`` from the next step to
+        the last and return the first step that eliminates the mode, or
+        None.  Each step k up to it gets :meth:`advance`'s floats in
+        ``out[k]``; ``out`` comes NaN-filled, and later rows stay NaN.
+
+        Up to the cutoff the steps are advanced one at a time; past it, one
+        pass takes the steps of every level computed so far (computing the
+        next block when none is left), as one array of thresholds and one
+        vectorised test.  Flagged steps are confirmed in order by
+        :func:`eliminate` with ``scale(k)`` (:func:`residual_scale`), so at
+        most one block of levels is computed past the eliminating step.
+        """
+        steps = len(r_norm) - 1
+        while self.k < steps:
+            first = self.k + 1
+            if first <= self.k_inf_cutoff:
+                out[first] = self.advance()
+                flagged = [first] if _exceeds(r_norm[first], out[first, 2]) else []
+            else:
+                if first > len(self._row_norm):
+                    self._compute_block()
+                self.k = min(len(self._row_norm), steps)
+                dtri = self._tri(*map(np.array, self._terms(first, self.k)))
+                out[first : self.k + 1, 1] = out[first : self.k + 1, 2] = dtri
+                flagged = first + np.flatnonzero(_exceeds(r_norm[first : self.k + 1], dtri))
+            # a scale can only clear a flag: price it only then
+            for k in flagged:
+                if eliminate(r_norm[k], out[k, 2], scale(k)):
+                    out[k + 1 : self.k + 1] = np.nan
+                    self.k = int(k)
+                    return self.k
+        return None
 
     def threshold_tri(self) -> float:
         """Triangle threshold at the current level (k >= 1)."""
         k = self.k
         if k < 1:
             raise ValueError("tracker must be advanced before reading thresholds")
-        return self._tri(*[terms[0] for terms in self._tri_terms(k, k)])
+        return self._tri(*[terms[0] for terms in self._terms(k, k)])
 
-    def _tri_terms(self, first: int, last: int) -> Iterator[list[float]]:
+    def _terms(self, first: int, last: int) -> list[list[float]]:
         """The five terms of :meth:`_tri` at each step k of ``first..last``,
-        one list per term, in order: ``row_norm[k-1]``, ``cum_w[k-2]``,
-        ``bev1_norm[k-2]``, ``cum_mv[k-3]`` and the ``v_prev`` norm.  Where
-        k is below a term's lag, the term is its value before level 0: the
-        ``v0_at_k1`` norm for ``bev1_norm``, and 0.0 for the others."""
-        count = last - first + 1
-
-        def lagged(values: list[float], lag: int, before: float) -> list[float]:
-            head = [before] * min(max(lag - first, 0), count)
-            return head + values[max(first - lag, 0) : max(last + 1 - lag, 0)]
-
-        yield lagged(self._row_norm, 1, 0.0)
-        yield lagged(self._cum_w, 2, 0.0)
-        yield lagged(self._bev1_norm, 2, self._nv0_at_k1)
-        yield lagged(self._cum_mv, 3, 0.0)
-        head = [0.0] * min(max(2 - first, 0), count)
-        yield head + [self._nv_prev] * (count - len(head))
+        one list per term: entry k-1 of ``_row_norm``, ``_cum_w``,
+        ``_bev1_norm`` and ``_cum_mv`` (the last three start with their
+        values before level 0), and the ``v_prev`` norm, 0.0 at k = 1."""
+        s = slice(first - 1, last)
+        v_prev = [self._nv_prev] * (last - first + 1)
+        if first == 1:
+            v_prev[0] = 0.0
+        return [self._row_norm[s], self._cum_w[s], self._bev1_norm[s], self._cum_mv[s], v_prev]
 
     def _tri(self, state, w_sum, v_first, mv_sum, v_prev):
-        """The triangle threshold from one step's terms (:meth:`_tri_terms`),
+        """The triangle threshold from one step's terms (:meth:`_terms`),
         or elementwise from arrays of them, in one order of operations; a
         0.0 term leaves a nonnegative float as it is."""
         w_term = w_sum + self._nw_last
@@ -619,8 +635,8 @@ def tri_limit(errdyn: ErrorDynamics, dec: ModeDecomposition, eta_w: float, eta_v
         )
     t = ThresholdTracker(errdyn, dec, k_inf_cutoff=0)
     t.extend(2)
-    s_w = t._cum_w[0] + t._row_norm[1] * errdyn.w_gain / (1.0 - theta)
-    s_v = t._cum_mv[0] + t._row_norm[1] * _norm2(t._Mv) / (1.0 - theta)
+    s_w = t._cum_w[1] + t._row_norm[1] * errdyn.w_gain / (1.0 - theta)
+    s_v = t._cum_mv[2] + t._row_norm[1] * _norm2(t._Mv) / (1.0 - theta)
     return eta_w * (t._nw_last + s_w) + eta_v * (s_v + t._nv_prev + t._nv_last)
 
 
@@ -655,6 +671,11 @@ def eliminate(r_norm: float, delta_hat: float, scale: float = 0.0) -> bool:
     scale = float(scale)
     if r_norm < 0 or delta_hat < 0 or scale < 0:
         raise ValueError("residual norm, threshold and scale must be nonnegative")
+    return _exceeds(r_norm, delta_hat, scale)
+
+
+def _exceeds(r_norm, delta_hat, scale=0.0):
+    """:func:`eliminate`'s test without its checks, elementwise on arrays."""
     return r_norm > delta_hat + 1e-14 * (1.0 + delta_hat + scale)
 
 

@@ -38,6 +38,9 @@ __all__ = [
     "validate",
 ]
 
+# invariant_zeros' rank test: a zero where the smallest singular value is at most this relative
+_ZERO_TOL = 1e-8
+
 
 class ModelError(ValueError):
     """Malformed plant, mode, or attack data."""
@@ -220,7 +223,7 @@ def enumerate_modes(t_a: int, t_s: int, rho: int, G, H) -> list[ModeHypothesis]:
     return modes
 
 
-def invariant_zeros(A, Gq, C, Hq, tol: float = 1e-8):
+def invariant_zeros(A, Gq, C, Hq):
     """Invariant zeros of the quadruple (A, Gq, C, Hq), or None if untestable.
 
     Returns ``(zeros, note)``.  ``zeros`` is a list of complex numbers — the
@@ -309,7 +312,7 @@ def invariant_zeros(A, Gq, C, Hq, tol: float = 1e-8):
         stack = np.vstack([Abar - z * np.eye(n), extra])
         s_st = np.linalg.svd(stack, compute_uv=False)
         scale = max(1.0, float(s_st[0]) if s_st.size else 0.0)
-        if s_st.size < n or s_st[-1] <= tol * scale:
+        if s_st.size < n or s_st[-1] <= _ZERO_TOL * scale:
             zeros.append(complex(z))
     note = (
         f"one-step reduction: rank {p_H} output-visible attack part, "
@@ -319,14 +322,14 @@ def invariant_zeros(A, Gq, C, Hq, tol: float = 1e-8):
     return zeros, note
 
 
-def check_strong_detectability(A, Gq, C, Hq, tol: float = 1e-8) -> bool:
+def check_strong_detectability(A, Gq, C, Hq) -> bool:
     """True iff every invariant zero of (A, Gq, C, Hq) is strictly inside the unit circle.
 
     Degenerate structures that defeat the zero computation report False with
     a :class:`DegenerateModeWarning` — such hypotheses cannot support the
     observer construction downstream anyway.
     """
-    zeros, note = invariant_zeros(A, Gq, C, Hq, tol=tol)
+    zeros, note = invariant_zeros(A, Gq, C, Hq)
     if zeros is None:
         warnings.warn(
             "strong-detectability check degraded to conservative False: " + note,

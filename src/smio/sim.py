@@ -10,18 +10,15 @@ output terms are one stacked product each over the horizon, and only
 matrix product per observer stage; the state recursion then steps every
 mode at once, one stacked product of the modes' n-by-n error maps per
 step; and the observer's stages, whose innovation is the residual, take
-one product each.  The thresholds are walked one step at a time up to the
-fixed cutoff :data:`~smio.modeguard.K_INF_CUTOFF_DEFAULT` (25), where the
-enumerated threshold needs each step's stacked map, and past it a block of
-steps at a time: one array of triangle thresholds and one vectorised
-residual test per block, with blocks that double in size.  The walk stops
-at the first step whose residual test eliminates the mode, so at most one
-block is computed past it.  The run records everything in a replayable
-trace of arrays.  Noise is drawn uniformly from the 2-norm balls the
-bounds describe, so runs exercise the constraint set all the way to its
-boundary; every random draw is tied to one seed and a fixed stream order,
-which makes traces bit-reproducible.  Each noise direction is drawn into
-its row in that order, and the rows are scaled at the end.
+one product each.  Each mode's threshold tracker then runs the residual
+test over the residual norms (:meth:`~smio.modeguard.ThresholdTracker.walk`)
+and stops at the step that eliminates the mode.  The run records
+everything in a replayable trace of arrays.  Noise is drawn uniformly
+from the 2-norm balls the bounds describe, so runs exercise the
+constraint set all the way to its boundary; every random draw is tied to
+one seed and a fixed stream order, which makes traces bit-reproducible.
+Each noise direction is drawn into its row in that order, and the rows
+are scaled at the end.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from .modeguard import (
     ENUM_BUDGET_DEFAULT,
     K_INF_CUTOFF_DEFAULT,
     ThresholdTracker,
-    eliminate,
     residual_scale,
 )
 from .observer import ObserverState, radius_sequence, run_bank, stage_rows
@@ -78,13 +74,8 @@ __all__ = [
 # built-in five-hypothesis plant ``run_pipeline`` holds about 1.5 KB per step,
 # and writing the CSV, a block of steps at a time, adds about 8 MB whatever
 # the horizon, so ``smio benchmark`` at the cap peaks at about 0.18 GB resident
-# (and takes about 6.5 s on a 2-core host with one BLAS thread).
+# (and takes 4-5.5 s on a 2-core host with one BLAS thread).
 HORIZON_MAX = 100_000
-
-# Steps in the first block of the threshold walk past the cutoff; each
-# later block is twice the last, so at most one block is computed past an
-# elimination.
-_WALK_BLOCK = 32
 
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
@@ -476,41 +467,16 @@ def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> tuple:
     r_norm = out["r_norm"]
     r_norm[1:] = np.linalg.norm(r[1:], axis=1)
     tracker = ThresholdTracker(
-        dyn,
-        dec,
-        eta_w=model.eta_w,
-        eta_v=model.eta_v,
-        delta_x0=model.delta_x0,
+        dyn, dec, eta_w=model.eta_w, eta_v=model.eta_v, delta_x0=model.delta_x0
     )
-    thresholds = out["thresholds"]
-    elim = None
-    cutoff = min(K_INF_CUTOFF_DEFAULT, steps)
-    for k in range(1, cutoff + 1):
-        dinf, dtri, dhat = tracker.advance()
-        thresholds[k] = (dinf, dtri, dhat)
-        if eliminate(r_norm[k], dhat):  # a scale can only clear a flag: price it only then
-            if eliminate(r_norm[k], dhat, residual_scale(dec, xstar[k], u[k], y[k])):
-                elim = k
-                break
-    # past the cutoff delta_hat is delta_tri: walk a block of steps at a time
-    start, size = cutoff + 1, _WALK_BLOCK
-    while elim is None and start <= steps:
-        stop = min(start + size, steps + 1)
-        dtri = tracker.advance_tri(stop - start)
-        thresholds[start:stop, 1] = thresholds[start:stop, 2] = dtri
-        # eliminate()'s test without a scale, for the whole block at once
-        for k in start + np.flatnonzero(r_norm[start:stop] > dtri + 1e-14 * (1.0 + dtri)):
-            if eliminate(r_norm[k], dtri[k - start], residual_scale(dec, xstar[k], u[k], y[k])):
-                elim = int(k)
-                break
-        start, size = stop, 2 * size
+    elim = tracker.walk(r_norm, lambda k: residual_scale(dec, xstar[k], u[k], y[k]), out["thresholds"])
     if elim is None:
         out["live"][1:] = True
         return None, r
     # the estimates and radii stay frozen from the eliminating step on
     for name in ("xhat", "xhat_pred", "xhat_star", "dhat", "delta_x", "delta_d"):
         out[name][elim + 1 :] = out[name][elim]
-    r[elim + 1 :] = r_norm[elim + 1 :] = thresholds[elim + 1 :] = np.nan
+    r[elim + 1 :] = r_norm[elim + 1 :] = np.nan
     out["live"][1 : elim + 1] = True
     return elim, r
 

@@ -798,7 +798,8 @@ def test_tracker_zero_tail_calls_no_svd(benchmark_model, benchmark_modes, monkey
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert calls == [], q
         assert tracker._row_norm[254:] == [0.0] * (len(tracker._row_norm) - 254)
-        assert len(set(tracker._cum_w[254:])) == len(set(tracker._cum_mv[254:])) == 1
+        # entry k-1 of each running sum is step k's, so level j's total is at j + 1 or j + 2
+        assert len(set(tracker._cum_w[255:])) == len(set(tracker._cum_mv[256:])) == 1
 
 
 def test_stacked_norm2_of_mixed_zero_and_nonzero_matrices():
@@ -820,22 +821,47 @@ def test_stacked_norm2_of_mixed_zero_and_nonzero_matrices():
     assert modeguard._stacked_norm2(np.zeros((2, 0, 4))).tolist() == [0.0] * 2
 
 
+@pytest.mark.parametrize("cap", [1, 7, None], ids=["cap1", "cap7", "cap-default"])
 @pytest.mark.parametrize("cutoff", [-1, 0, 1, 2, 25])
-def test_advance_tri_equals_threshold_tri_step_by_step(cutoff):
+def test_walk_writes_the_floats_of_advance_step_by_step(monkeypatch, cutoff, cap):
+    """walk() gives every step it tests the (delta_inf, delta_tri,
+    delta_hat) floats of a loop of advance(), whatever the tracker's block
+    schedule, and stops at the first step whose residual clears the scaled
+    guard.  A step flagged by the unscaled test but cleared by its scale
+    does not stop it, and only flagged steps are priced."""
+    if cap is not None:
+        monkeypatch.setattr(ThresholdTracker, "_BLOCK_CAP", cap)
+    steps = 300
     model, bank = random_instance(np.random.default_rng(91))
     for _mode, dec, _gains, dyn in bank:
-        one = _tracker(model, dec, dyn, cutoff)
-        want = [one.advance()[1] for _ in range(300)]
-        blocks = _tracker(model, dec, dyn, cutoff)
-        start = max(cutoff, 0)
-        for _ in range(start):
-            blocks.advance()
-        got = want[:start]
-        for size in (1, 1, 2, 3, 40, 200):
-            got += blocks.advance_tri(size).tolist()
-        assert got == want[: len(got)]
-        with pytest.raises(ValueError, match="k_inf_cutoff"):
-            _tracker(model, dec, dyn, 1).advance_tri(1)
+        loop = _tracker(model, dec, dyn, cutoff)
+        want = np.full((steps + 1, 3), np.nan)
+        for k in range(1, steps + 1):
+            want[k] = loop.advance()
+        dhat = want[:, 2]
+        first_past = max(cutoff, 0) + 1
+        for elim in (None, 1, first_past, first_past + 1, 150, steps):
+            r_norm = np.zeros(steps + 1)
+            cleared = 60 if elim is None or elim > 60 else None
+            if cleared is not None:  # above the unscaled guard only
+                r_norm[cleared] = dhat[cleared] + 3e-14 * (1.0 + dhat[cleared])
+            if elim is not None:
+                r_norm[elim] = 2.0 * dhat[elim] + 1.0
+            priced = []
+
+            def scale(k):
+                priced.append(int(k))
+                return 1e3
+
+            tracker = _tracker(model, dec, dyn, cutoff)
+            out = np.full((steps + 1, 3), np.nan)
+            assert tracker.walk(r_norm, scale, out) == elim
+            assert tracker.k == (steps if elim is None else elim)
+            last = steps if elim is None else elim
+            expected = np.full((steps + 1, 3), np.nan)
+            expected[: last + 1] = want[: last + 1]
+            assert out.tobytes() == expected.tobytes(), (cutoff, cap, elim)
+            assert priced == [k for k in (cleared, elim) if k is not None], (cutoff, cap, elim)
 
 
 def test_tracker_kept_levels_pin_no_whole_block():

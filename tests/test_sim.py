@@ -12,7 +12,7 @@ from oracles import per_mode_xhat, stepwise_pipeline, stepwise_simulate
 from smio import sim
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import AttackSignal, SystemModel, enumerate_modes
-from smio.modeguard import residual_scale
+from smio.modeguard import ThresholdTracker, residual_scale
 from smio.observer import _stages, init_observer, run_bank, step
 from smio.sim import (
     FAULT_ELIMINATED,
@@ -518,13 +518,19 @@ def _late_attack_config(onset, horizon=60):
     )
 
 
-# the walk's blocks from step 26: first size 1 gives [26], [27, 28],
-# [29..32], [33..40], [41..56]; first size 7 gives [26..32], [33..46], [47..60]
+# the walk's passes from step 26 test the steps of the levels computed so
+# far, whose blocks double from 1 level up to the cap: with a cap of 1 each
+# step is its own block (so 33 and the horizon's last step 60 are each a
+# block's first and last step); a cap of 7 gives [26..28], [29..35],
+# [36..42], [43..49], ...; the default cap of 256 gives [26..31], [32..63]
 @pytest.mark.parametrize(
-    "first, onset", [(1, 33), (1, 40), (7, 33), (7, 46)], ids=["1-first", "1-last", "7-first", "7-last"]
+    "cap, onset",
+    [(1, 33), (1, 60), (7, 36), (7, 42), (None, 26), (None, 31), (None, 32)],
+    ids=["1-first", "1-last", "7-first", "7-last", "256-first", "256-last", "256-next-first"],
 )
-def test_pipeline_matches_stepwise_oracle_when_the_walk_eliminates(monkeypatch, first, onset):
-    monkeypatch.setattr(sim, "_WALK_BLOCK", first)
+def test_pipeline_matches_stepwise_oracle_when_the_walk_eliminates(monkeypatch, cap, onset):
+    if cap is not None:
+        monkeypatch.setattr(ThresholdTracker, "_BLOCK_CAP", cap)
     cfg = _late_attack_config(onset)
     assert cfg.k_inf_cutoff < onset
     trace = run_pipeline(cfg)
