@@ -240,6 +240,9 @@ def _build_attack(
         )
         amplitude = _number(block, "amplitude", "attack", 5.0)
         bias = _number(block, "bias", "attack", 2.0)
+        for key, value in (("amplitude", amplitude), ("bias", bias)):
+            if not math.isfinite(value):
+                raise ConfigError(f"attack.{key} must be a finite number, got {value!r}")
         return sinusoid_attack(mode_star, horizon + 1, amplitude, bias)
     _reject_unknown(block, {"kind", "values"}, "an 'explicit' attack block")
     if "values" not in block:

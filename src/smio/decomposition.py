@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModeHypothesis, SystemModel
+from .model import ModeHypothesis, SystemModel, _column_rank_deficient, _hq_frame, _rank_cutoff
 
 __all__ = [
     "ModeDecomposition",
@@ -178,13 +178,8 @@ def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecompositio
     1e3 of the rank cutoff — a silently misidentified rank would corrupt
     every downstream matrix.
     """
-    Hq = mode.Hq
-    ell, rho = Hq.shape
-    U, sv, Vt = np.linalg.svd(Hq, full_matrices=True)
-    U = U.copy()
-    Vt = Vt.copy()
-    smax = float(sv[0]) if sv.size else 0.0
-    cutoff = max(ell, rho) * np.finfo(float).eps * smax
+    U, sv, Vt = np.linalg.svd(mode.Hq, full_matrices=True)
+    cutoff = _rank_cutoff(mode.Hq.shape, sv)
     ambiguous = [s for s in sv if cutoff / 1e3 < s <= cutoff * 1e3]
     if ambiguous:
         raise RankAmbiguityError(
@@ -206,10 +201,7 @@ def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecompositio
         if row.size and row[np.argmax(np.abs(row))] < 0:
             Vt[i, :] = -row
 
-    T1 = U[:, :p_H].T
-    T2 = U[:, p_H:].T
-    V1 = Vt[:p_H].T
-    V2 = Vt[p_H:].T
+    T1, T2, V1, V2, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, model.C, mode.Gq)
     return ModeDecomposition(
         p_H=p_H,
         T1=T1,
@@ -217,12 +209,12 @@ def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecompositio
         Sigma=np.diag(sv[:p_H]),
         V1=V1,
         V2=V2,
-        C1=T1 @ model.C,
-        C2=T2 @ model.C,
+        C1=C1,
+        C2=C2,
         D1=T1 @ model.D,
         D2=T2 @ model.D,
-        G1=mode.Gq @ V1,
-        G2=mode.Gq @ V2,
+        G1=G1,
+        G2=G2,
     )
 
 
@@ -241,16 +233,13 @@ def _m1_m2(dec: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
     diag = np.diag(dec.Sigma) if dec.p_H else np.zeros(0)
     M1 = np.diag(1.0 / diag) if dec.p_H else np.zeros((0, 0))
     C2G2 = dec.C2 @ dec.G2
-    width = C2G2.shape[1]
-    if width:
-        sv = np.linalg.svd(C2G2, compute_uv=False)
-        tol = max(C2G2.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-        if sv.size < width or sv[-1] <= tol:
-            raise InfeasibleModeError(
-                "C2*G2 is column-rank deficient "
-                f"(shape {C2G2.shape}, singular values {np.array2string(sv, precision=3)}); "
-                "the state-side attack component cannot be recovered from the residual outputs"
-            )
+    deficient, sv = _column_rank_deficient(C2G2)
+    if deficient:
+        raise InfeasibleModeError(
+            "C2*G2 is column-rank deficient "
+            f"(shape {C2G2.shape}, singular values {np.array2string(sv, precision=3)}); "
+            "the state-side attack component cannot be recovered from the residual outputs"
+        )
     M2 = np.linalg.pinv(C2G2)
     return M1, M2
 

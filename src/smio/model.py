@@ -223,6 +223,33 @@ def enumerate_modes(t_a: int, t_s: int, rho: int, G, H) -> list[ModeHypothesis]:
     return modes
 
 
+def _rank_cutoff(shape, sv) -> float:
+    """The numerical-rank cutoff ``max(shape)·eps·σ_max`` of a matrix of
+    this shape with singular values ``sv``, largest first: the singular
+    values above it count toward the rank."""
+    return max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+
+
+def _column_rank_deficient(M: np.ndarray) -> tuple[bool, np.ndarray]:
+    """``(deficient, sv)``: whether ``M`` falls short of full numerical
+    column rank, and its singular values (none for a matrix without
+    columns, which is never deficient)."""
+    if not M.shape[1]:
+        return False, np.zeros(0)
+    sv = np.linalg.svd(M, compute_uv=False)
+    return bool(sv.size < M.shape[1] or sv[-1] <= _rank_cutoff(M.shape, sv)), sv
+
+
+def _hq_frame(U: np.ndarray, Vt: np.ndarray, p_H: int, C: np.ndarray, Gq: np.ndarray):
+    """``(T1, T2, V1, V2, C1, C2, G1, G2)`` from the full SVD ``Hq = U Σ Vt``
+    of numerical rank ``p_H``: the attacked output directions ``T1`` and the
+    attack-free ones ``T2``, the output-visible attack directions ``V1`` and
+    the state-only ones ``V2``, and ``C`` and ``Gq`` in that frame."""
+    T1, T2 = U[:, :p_H].T, U[:, p_H:].T
+    V1, V2 = Vt[:p_H].T, Vt[p_H:].T
+    return T1, T2, V1, V2, T1 @ C, T2 @ C, Gq @ V1, Gq @ V2
+
+
 def invariant_zeros(A, Gq, C, Hq):
     """Invariant zeros of the quadruple (A, Gq, C, Hq), or None if untestable.
 
@@ -267,16 +294,8 @@ def invariant_zeros(A, Gq, C, Hq):
 
     # Output split along the attacked-sensor directions.
     U, sv, Vt = np.linalg.svd(Hq, full_matrices=True)
-    cutoff = max(ell, rho) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    p_H = int(np.sum(sv > cutoff))
-    T1 = U[:, :p_H].T
-    T2 = U[:, p_H:].T
-    V1 = Vt[:p_H].T
-    V2 = Vt[p_H:].T
-    C1 = T1 @ C
-    C2 = T2 @ C
-    G1 = Gq @ V1
-    G2 = Gq @ V2
+    p_H = int(np.sum(sv > _rank_cutoff(Hq.shape, sv)))
+    _, _, _, _, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, C, Gq)
 
     # State map after absorbing the output-visible attack component.
     At = A - G1 @ (C1 / sv[:p_H, None]) if p_H else A.copy()
@@ -284,23 +303,19 @@ def invariant_zeros(A, Gq, C, Hq):
     # Quotient away attack directions that touch neither state nor output.
     if G2.shape[1]:
         Ug, sg, _ = np.linalg.svd(G2, full_matrices=False)
-        gcut = max(G2.shape) * np.finfo(float).eps * (sg[0] if sg.size else 0.0)
-        r = int(np.sum(sg > gcut))
+        r = int(np.sum(sg > _rank_cutoff(G2.shape, sg)))
         Ghat = Ug[:, :r]
     else:
         r = 0
         Ghat = np.zeros((n, 0))
 
     C2G = C2 @ Ghat
-    if r:
-        sc = np.linalg.svd(C2G, compute_uv=False)
-        ccut = max(C2G.shape) * np.finfo(float).eps * (sc[0] if sc.size else 0.0)
-        if sc.size < r or sc[-1] <= ccut:
-            return None, (
-                "residual outputs do not see the state-side attack range "
-                "(C2*G2 is column-rank deficient); one-step absorption fails "
-                "and the zero computation is unavailable"
-            )
+    if _column_rank_deficient(C2G)[0]:
+        return None, (
+            "residual outputs do not see the state-side attack range "
+            "(C2*G2 is column-rank deficient); one-step absorption fails "
+            "and the zero computation is unavailable"
+        )
     M2 = np.linalg.pinv(C2G)
     Abar = (np.eye(n) - Ghat @ M2 @ C2) @ At
     # Rank-test rows beyond the eigenvalue condition itself.

@@ -30,13 +30,14 @@ the norm-triangle bound driven by the closed error map: it contracts iff
 ``theta = ||Ae||_2 < 1`` (see ConservativeRadiusWarning in the
 decomposition module for the expansive-but-stable case).  The radii never
 depend on the data, so :func:`radius_sequence` runs them for a whole
-horizon with the same scalar recursion :func:`step` uses, up to the first
-step that repeats its predecessor.
+horizon: ``delta_x`` with the same scalar recursion :func:`step` uses, up
+to the first step that repeats its predecessor, and ``delta_d`` from
+:func:`_radii` applied to the whole ``delta_x`` array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,11 +146,9 @@ def _times(coeff: float, radius: float) -> float:
     return coeff * radius if coeff else 0.0
 
 
-def _radii(
-    ed: ErrorDynamics, eta_w: float, eta_v: float, delta_prev: float
-) -> tuple[float, float]:
+def _radii(ed: ErrorDynamics, eta_w: float, eta_v: float, delta_prev):
     """One step of the radius recursion: ``(delta_x, delta_d)`` from the
-    previous state radius."""
+    previous state radius, or from an array of them entry by entry."""
     delta_pred = _times(ed.a_pred, delta_prev) + ed.v_pred * eta_v + eta_w
     delta_x = _times(ed.theta, delta_prev) + ed.w_gain * eta_w + ed.v_gain * eta_v
     delta_d = _times(ed.v1m1, _times(ed.c1, delta_prev) + eta_v) + _times(
@@ -184,17 +183,7 @@ def step(
         raise ObserverError(f"y must have length {model.l}; got {y.shape}")
 
     if state.u_prev is None:
-        return ObserverState(
-            xhat_kk=state.xhat_kk,
-            xhat_pred=state.xhat_pred,
-            xhat_star=state.xhat_star,
-            dhat_prev=state.dhat_prev,
-            delta_x=state.delta_x,
-            delta_d=state.delta_d,
-            k=state.k,
-            u_prev=u,
-            y_prev=y,
-        )
+        return replace(state, u_prev=u, y_prev=y)
 
     x, data = state.xhat_kk, (state.u_prev, state.y_prev, u, y)
     xpred, xstar, dhat, _, _ = _stages(dec, gains, model, x, *data)
@@ -256,11 +245,11 @@ def radius_sequence(
     :func:`step` applies; ``delta_d[0]`` is NaN (no input estimate yet).
 
     Only ``delta_x`` is stepped, one scalar step at a time; ``delta_d[k]``
-    is a function of ``delta_x[k-1]`` alone, so it is then formed for all
-    steps at once, in place, with :func:`_radii`'s operations in their
-    order and grouping.  Once a step returns the ``delta_x`` it was given
-    (a fixed point, or ``inf`` after an overflow), every later step returns
-    what it returned, and the rest is filled with it."""
+    is a function of ``delta_x[k-1]`` alone, so :func:`_radii` then forms
+    it for all steps at once, applied to the whole array.  Once a step
+    returns the ``delta_x`` it was given (a fixed point, or ``inf`` after an
+    overflow), every later step returns what it returned, and the rest is
+    filled with it."""
     ed, eta_w, eta_v = errdyn, model.eta_w, model.eta_v
     delta_x = np.empty(steps + 1)
     dx = delta_x[0] = float(model.delta_x0)
@@ -272,29 +261,10 @@ def radius_sequence(
             delta_x[k + 1 :] = nx
             break
         dx = nx
-
-    def scale(out: np.ndarray, radius: np.ndarray, coeff: float) -> None:
-        # _times on every entry: an exactly-zero coefficient gives 0
-        if coeff:
-            np.multiply(radius, coeff, out=out)
-        else:
-            out.fill(0.0)
-
-    prev = delta_x[:-1]
     delta_d = np.empty(steps + 1)
     delta_d[0] = np.nan
-    first, second = delta_d[1:], np.empty(steps)
     with np.errstate(over="ignore"):  # an overflow gives inf, as the scalar recursion does
-        scale(second, prev, ed.a_pred)  # delta_pred
-        second += ed.v_pred * eta_v
-        second += eta_w
-        scale(second, second, ed.c2)
-        second += eta_v
-        scale(second, second, ed.v2m2)
-        scale(first, prev, ed.c1)
-        first += eta_v
-        scale(first, first, ed.v1m1)
-        first += second
+        delta_d[1:] = _radii(ed, eta_w, eta_v, delta_x[:-1])[1]
     return delta_x, delta_d
 
 

@@ -101,7 +101,10 @@ def check_horizon(horizon: int) -> int:
 def _opt_array(x, name, shape=None):
     if x is None:
         return None
-    arr = np.array(x, dtype=float)
+    try:
+        arr = np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(f"{name} must be a rectangular array of numbers ({exc})") from exc
     if shape is not None and arr.shape != shape:
         raise SimulationError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -639,19 +642,18 @@ def benchmark_scenario(
     seed: int = 0,
     horizon: int = 200,
     true_mode: int = 1,
-    amplitude: float = 5.0,
-    bias: float = 2.0,
 ) -> ScenarioConfig:
     """The default benchmark scenario: persistent sparse attack, mode bank of 5."""
-    horizon = check_horizon(horizon)
+    horizon, true_mode = check_horizon(horizon), int(true_mode)
     model = benchmark_model()
-    modes = benchmark_modes(model)
-    mode_star = next(m for m in modes if m.id == int(true_mode))
-    attack = sinusoid_attack(mode_star, horizon + 1, amplitude, bias)
+    modes = {m.id: m for m in benchmark_modes(model)}
+    if true_mode not in modes:
+        raise SimulationError(f"true mode {true_mode} is not in the hypothesis set {sorted(modes)}")
+    attack = sinusoid_attack(modes[true_mode], horizon + 1)
     return ScenarioConfig(
         model=model,
-        modes=tuple(modes),
-        true_mode=int(true_mode),
+        modes=tuple(modes.values()),
+        true_mode=true_mode,
         horizon=horizon,
         attack=attack,
         noise_seed=int(seed),

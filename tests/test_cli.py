@@ -466,6 +466,32 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, where):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("known_input", [[1.0], [2.0, 3.0]]), ("xhat0", "abc"), ("x0", {"a": 1})],
+)
+def test_malformed_config_arrays_rejected(tmp_path, capsys, key, value):
+    """A ragged or non-numeric scenario array exits 2 naming its key,
+    not with numpy's traceback."""
+    path = write_config(tmp_path, pair_config(**{key: value}))
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["amplitude", "bias"])
+def test_non_finite_sinusoid_attack_rejected(tmp_path, capsys, recwarn, key):
+    """An infinite sinusoid parameter (json reads both Infinity and 1e400
+    as inf) exits 2 naming its key, before numpy multiplies with it."""
+    cfg = pair_config()
+    cfg["attack"] = {"kind": "sinusoid", key: 1e400}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"attack.{key} must be a finite number" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", ["simulate", "benchmark"])
 def test_negative_seed_flag_rejected(tmp_path, capsys, command):
     """A negative seed exits 2 with a message, not numpy's traceback."""

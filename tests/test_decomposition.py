@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance
 from oracles import riccati_difference_gain
@@ -18,7 +20,7 @@ from smio.decomposition import (
     error_dynamics,
     synthesize_gains,
 )
-from smio.model import SystemModel, enumerate_modes
+from smio.model import ModeHypothesis, SystemModel, enumerate_modes, invariant_zeros
 
 
 def _tiny_model(C, G, H, A=None, n=None):
@@ -31,6 +33,34 @@ def _tiny_model(C, G, H, A=None, n=None):
 
 
 # ------------------------------------------------------------- decomposition
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    ell=st.integers(1, 4),
+    rho=st.integers(1, 4),
+    inner=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observer_and_detectability_test_agree_on_the_rank_of_hq(n, ell, rho, inner, seed):
+    """decompose_mode and invariant_zeros split Hq at the same numerical
+    rank, also when Hq is rank-deficient (a product through ``inner``
+    columns, zero for inner = 0) or has columns 2^-30 times smaller than
+    the others."""
+    rng = np.random.default_rng(seed)
+    draw = lambda r, c: rng.integers(-8, 9, size=(r, c)) / 4.0
+    A, Gq, C = draw(n, n), draw(n, rho), draw(ell, n)
+    Hq = draw(ell, inner) @ draw(inner, rho) * 2.0 ** -rng.choice([0, 30], size=rho)
+    empty = np.zeros((0, rho))
+    mode = ModeHypothesis(id=1, actuator_set=(), sensor_set=(), IG=empty, IH=empty, Gq=Gq, Hq=Hq)
+    try:
+        dec = decompose_mode(_tiny_model(C, Gq, Hq, A=A), mode)
+    except RankAmbiguityError:
+        assume(False)
+    zeros, note = invariant_zeros(A, Gq, C, Hq)
+    assume(zeros is not None)  # the note of a failed reduction gives no rank
+    assert note.startswith(f"one-step reduction: rank {dec.p_H} output-visible")
 
 
 def test_axis_aligned_single_sensor():

@@ -809,6 +809,12 @@ def test_benchmark_scenario_defaults():
     assert cfg.attack.values.shape == (201, 4)
 
 
+@pytest.mark.parametrize("true_mode", [0, 9])
+def test_benchmark_scenario_rejects_an_unknown_true_mode(true_mode):
+    with pytest.raises(SimulationError, match=f"true mode {true_mode} is not in"):
+        benchmark_scenario(true_mode=true_mode)
+
+
 def test_sinusoid_attack_waveform():
     modes = benchmark_modes()
     atk = sinusoid_attack(modes[0], 5, amplitude=5.0, bias=2.0)
