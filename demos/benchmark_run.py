@@ -31,6 +31,7 @@ import warnings
 import numpy as np
 
 from smio.decomposition import ConservativeRadiusWarning
+from smio.modeguard import residual
 from smio.sim import benchmark_scenario, run_pipeline
 
 cfg = benchmark_scenario(seed=3, horizon=120, true_mode=2)
@@ -66,8 +67,10 @@ print("\nfinal active set:", trace.final_active)
 print("containment violations:", trace.containment_violations)
 
 print("\nwhy the rows above are identical -- the five residual vectors:")
-for i, q in enumerate(trace.mode_ids):
-    print(f"  hyp {q}: r =", np.round(trace.residuals[i][last[q]], 8))
+for q in trace.mode_ids:
+    k = last[q]
+    r = residual(trace.bank[q][1], trace.snapshots[k][q].xhat_star, trace.inputs[k], trace.outputs[k])
+    print(f"  hyp {q}: r =", np.round(r, 8))
 print("Each hypothesis absorbed the four channels it distrusts; the only")
 print("monitored direction left is sensor 5, which no attack can reach.")
 

@@ -135,7 +135,7 @@ def _matrix(block: dict, key: str, where: str) -> np.ndarray:
         raise ConfigError(f"{where} is missing required matrix '{key}'")
     try:
         arr = np.array(block[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.{key} is not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
         raise ConfigError(f"{where}.{key} must be a 2-D matrix, got shape {arr.shape}")
@@ -148,7 +148,10 @@ def _number(block: dict, key: str, where: str, default=None):
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigError(f"{where}.{key} must be a finite number ({exc})") from exc
 
 
 def _integer(block: dict, key: str, where: str, default=None):
@@ -181,6 +184,8 @@ def load_config_document(path) -> dict:
             f"config {path} is not valid JSON: line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config {path} is not usable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object at top level")
     _reject_unknown(doc, _TOP_KEYS, "the top-level config")
@@ -250,7 +255,7 @@ def _build_attack(
     try:
         values = np.array(block["values"], dtype=float)
         return AttackSignal(mode=mode_star, values=values)
-    except (TypeError, ValueError, ModelError) as exc:
+    except (TypeError, ValueError, OverflowError, ModelError) as exc:
         raise ConfigError(f"attack.values is unusable: {exc}") from exc
 
 

@@ -146,7 +146,6 @@ class PairRecord:
     q: int
     q_prime: int
     dimension_matched: bool
-    W: np.ndarray | None = field(repr=False)
     sigma_min: float | None
     threshold_ratio: float | None
     condition_i: bool | None
@@ -750,7 +749,6 @@ def detectability_report(
     for mode_q, dec_q, _dyn_q in entries:
         for mode_p, dec_p, _dyn_p in entries:
             matched = dec_q.residual_dim == dec_p.residual_dim
-            W = None
             sigma_min = None
             ratio = None
             cond_i = None
@@ -783,7 +781,6 @@ def detectability_report(
                     q=mode_q.id,
                     q_prime=mode_p.id,
                     dimension_matched=matched,
-                    W=W,
                     sigma_min=sigma_min,
                     threshold_ratio=ratio,
                     condition_i=cond_i,

@@ -104,14 +104,6 @@ class SystemModel:
     def l(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def t_a(self) -> int:
-        return self.G.shape[1] if self.G.ndim == 2 else 0
-
-    @property
-    def t_s(self) -> int:
-        return self.H.shape[1] if self.H.ndim == 2 else 0
-
 
 @dataclass(frozen=True, eq=False)
 class ModeHypothesis:

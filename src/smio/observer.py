@@ -90,15 +90,14 @@ class SetEstimate:
 class ObserverState:
     """Immutable snapshot of one mode observer after ``k`` processed steps.
 
-    ``xhat_kk`` is the current corrected estimate, ``xhat_pred`` the one-step
-    prediction and ``xhat_star`` the pre-correction update that produced it;
-    ``dhat_prev`` estimates the unknown input at step ``k-1`` (None until the
-    first full step).  ``u_prev``/``y_prev`` cache the last fed input/output
-    pair; they are implementation state, not estimates.
+    ``xhat_kk`` is the current corrected estimate and ``xhat_star`` the
+    pre-correction update that produced it; ``dhat_prev`` estimates the
+    unknown input at step ``k-1`` (None until the first full step).
+    ``u_prev``/``y_prev`` cache the last fed input/output pair; they are
+    implementation state, not estimates.
     """
 
     xhat_kk: np.ndarray = field(repr=False)
-    xhat_pred: np.ndarray = field(repr=False)
     xhat_star: np.ndarray = field(repr=False)
     dhat_prev: np.ndarray | None = field(repr=False)
     delta_x: float
@@ -117,7 +116,6 @@ def init_observer(xhat0, delta_x0: float) -> ObserverState:
     x0.setflags(write=False)
     return ObserverState(
         xhat_kk=x0,
-        xhat_pred=x0,
         xhat_star=x0,
         dhat_prev=None,
         delta_x=delta_x0,
@@ -127,9 +125,9 @@ def init_observer(xhat0, delta_x0: float) -> ObserverState:
 
 
 def _stages(dec, gains, model, x, u_prev, y_prev, u, y):
-    """``(xhat_pred, xhat_star, dhat_prev, xhat_kk, r)`` from the previous
-    estimate ``x``, stage by stage; ``r = T2 y - C2 xhat_star - D2 u`` is
-    the innovation, which is also the mode's residual.  Every argument is
+    """``(xhat_star, dhat_prev, xhat_kk, r)`` from the previous estimate
+    ``x``, stage by stage; ``r = T2 y - C2 xhat_star - D2 u`` is the
+    innovation, which is also the mode's residual.  Every argument is
     one vector, or one row per step for a whole horizon."""
     d1 = (y_prev @ dec.T1.T - x @ dec.C1.T - u_prev @ dec.D1.T) @ gains.M1.T
     xpred = x @ model.A.T + u_prev @ model.B.T + d1 @ dec.G1.T
@@ -137,7 +135,7 @@ def _stages(dec, gains, model, x, u_prev, y_prev, u, y):
     d2 = (z2 - xpred @ dec.C2.T - u @ dec.D2.T) @ gains.M2.T
     xstar = xpred + d2 @ dec.G2.T
     r = z2 - xstar @ dec.C2.T - u @ dec.D2.T
-    return xpred, xstar, d1 @ dec.V1.T + d2 @ dec.V2.T, xstar + r @ gains.Ltilde.T, r
+    return xstar, d1 @ dec.V1.T + d2 @ dec.V2.T, xstar + r @ gains.Ltilde.T, r
 
 
 def _times(coeff: float, radius: float) -> float:
@@ -186,12 +184,11 @@ def step(
         return replace(state, u_prev=u, y_prev=y)
 
     x, data = state.xhat_kk, (state.u_prev, state.y_prev, u, y)
-    xpred, xstar, dhat, _, _ = _stages(dec, gains, model, x, *data)
-    drive = _stages(dec, gains, model, np.zeros_like(x), *data)[3]
+    xstar, dhat, _, _ = _stages(dec, gains, model, x, *data)
+    drive = _stages(dec, gains, model, np.zeros_like(x), *data)[2]
     delta_x, delta_d = _radii(errdyn, model.eta_w, model.eta_v, state.delta_x)
     return ObserverState(
         xhat_kk=errdyn.Ae @ x + drive,
-        xhat_pred=xpred,
         xhat_star=xstar,
         dhat_prev=dhat,
         delta_x=delta_x,
@@ -216,7 +213,7 @@ def run_bank(members, model: SystemModel, xhat0, u: np.ndarray, y: np.ndarray, x
     data = (u[:-1], y[:-1], u[1:], y[1:])  # row k-1 holds the data of step k
     zero = np.zeros((y.shape[0] - 1, model.n))
     for i, (dec, gains, _) in enumerate(members):
-        xhat[1:, i] = _stages(dec, gains, model, zero, *data)[3]
+        xhat[1:, i] = _stages(dec, gains, model, zero, *data)[2]
     del zero
     xhat[0] = np.asarray(xhat0, dtype=float).reshape(-1)
     Ae = np.stack([errdyn.Ae for _, _, errdyn in members])
@@ -230,12 +227,12 @@ def run_bank(members, model: SystemModel, xhat0, u: np.ndarray, y: np.ndarray, x
 
 
 def stage_rows(dec: ModeDecomposition, gains: ObserverGains, model: SystemModel, xhat, u, y):
-    """``(xhat_pred, xhat_star, dhat_prev, residual)`` at steps 1..N of one
-    observer whose corrected estimates at steps 0..N are ``xhat``, each
-    stage one matrix product for the whole horizon; the residual is ``T2
-    y_k - C2 xhat_star - D2 u_k``."""
-    xpred, xstar, dhat, _, r = _stages(dec, gains, model, xhat[:-1], u[:-1], y[:-1], u[1:], y[1:])
-    return xpred, xstar, dhat, r
+    """``(xhat_star, dhat_prev, residual)`` at steps 1..N of one observer
+    whose corrected estimates at steps 0..N are ``xhat``, each stage one
+    matrix product for the whole horizon; the residual is ``T2 y_k - C2
+    xhat_star - D2 u_k``."""
+    xstar, dhat, _, r = _stages(dec, gains, model, xhat[:-1], u[:-1], y[:-1], u[1:], y[1:])
+    return xstar, dhat, r
 
 
 def radius_sequence(

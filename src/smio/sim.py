@@ -12,13 +12,13 @@ mode at once, one stacked product of the modes' n-by-n error maps per
 step; and the observer's stages, whose innovation is the residual, take
 one product each.  Each mode's threshold tracker then runs the residual
 test over the residual norms (:meth:`~smio.modeguard.ThresholdTracker.walk`)
-and stops at the step that eliminates the mode.  The run records
-everything in a replayable trace of arrays.  Noise is drawn uniformly
-from the 2-norm balls the bounds describe, so runs exercise the
-constraint set all the way to its boundary; every random draw is tied to
-one seed and a fixed stream order, which makes traces bit-reproducible.
-Each noise direction is drawn into its row in that order, and the rows
-are scaled at the end.
+and stops at the step that eliminates the mode.  The run records the
+bank and what it publishes in a replayable trace of arrays.  Noise is
+drawn uniformly from the 2-norm balls the bounds describe, so runs
+exercise the constraint set all the way to its boundary; every random
+draw is tied to one seed and a fixed stream order, which makes traces
+bit-reproducible.  Each noise direction is drawn into its row in that
+order, and the rows are scaled at the end.
 """
 
 from __future__ import annotations
@@ -71,10 +71,11 @@ __all__ = [
 
 
 # Largest accepted horizon.  A run's arrays grow with the horizon: on the
-# built-in five-hypothesis plant ``run_pipeline`` holds about 1.5 KB per step,
-# and writing the CSV, a block of steps at a time, adds about 8 MB whatever
-# the horizon, so ``smio benchmark`` at the cap peaks at about 0.18 GB resident
-# (and takes 4-5.5 s on a 2-core host with one BLAS thread).
+# built-in five-hypothesis plant a trace holds about 0.7 KB per step (0.9 KB
+# at the peak of ``run_pipeline``), and writing the CSV, a block of steps at a
+# time, adds about 8 MB whatever the horizon, so ``smio benchmark`` at the cap
+# peaks at about 0.13 GB resident (and takes about 4 s on a 2-core host with
+# one BLAS thread).
 HORIZON_MAX = 100_000
 
 # RunTrace.fault_kind values
@@ -103,7 +104,7 @@ def _opt_array(x, name, shape=None):
         return None
     try:
         arr = np.array(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"{name} must be a rectangular array of numbers ({exc})") from exc
     if shape is not None and arr.shape != shape:
         raise SimulationError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -201,11 +202,11 @@ class RunTrace:
 
     ``states``, ``outputs``, ``inputs`` and ``attack_values`` cover the full
     horizon.  The per-mode arrays cover the recorded steps ``0..K-1`` (first
-    axis) and the modes of ``mode_ids`` (second axis): ``xhat``,
-    ``xhat_pred`` and ``xhat_star`` are ``(K, Q, n)``, ``dhat`` is ``(K, Q,
-    rho)``, and ``delta_x``, ``delta_d``, ``r_norm``, ``delta_inf``,
-    ``delta_tri`` and ``delta_hat`` are ``(K, Q)``; ``residuals[i]`` is the
-    ``(K, r)`` residual array of mode ``mode_ids[i]``.  ``live`` marks the
+    axis) and the modes of ``mode_ids`` (second axis): ``xhat`` is ``(K, Q,
+    n)``, ``dhat`` is ``(K, Q, rho)``, and ``delta_x``, ``delta_d``,
+    ``r_norm``, ``delta_inf``, ``delta_tri`` and ``delta_hat`` are ``(K,
+    Q)``.  ``bank`` is the observer bank :func:`build_bank` built, by mode
+    id, and ``excluded`` the modes it left out.  ``live`` marks the
     steps at which a mode's residual test ran (steps 1 up to the step that
     eliminated it); the residual and threshold entries are NaN elsewhere,
     and so is ``delta_inf`` past the cutoff
@@ -226,8 +227,9 @@ class RunTrace:
     it is empty once every mode is eliminated.
 
     ``snapshots`` is a per-step view of the arrays as :class:`ObserverState`
-    objects, built on first access.  An eliminated mode's entry is the same
-    object at every step from its elimination on.
+    objects, built on first access; their ``xhat_star`` is derived from the
+    bank and ``xhat`` with :func:`~smio.observer.stage_rows`.  An eliminated
+    mode's entry is the same object at every step from its elimination on.
     """
 
     config: ScenarioConfig
@@ -238,18 +240,16 @@ class RunTrace:
     mode_ids: tuple[int, ...]
     active_sets: tuple[tuple[int, ...], ...] = field(repr=False)
     xhat: np.ndarray = field(repr=False)
-    xhat_pred: np.ndarray = field(repr=False)
-    xhat_star: np.ndarray = field(repr=False)
     dhat: np.ndarray = field(repr=False)
     delta_x: np.ndarray = field(repr=False)
     delta_d: np.ndarray = field(repr=False)
-    residuals: tuple[np.ndarray, ...] = field(repr=False)
     r_norm: np.ndarray = field(repr=False)
     delta_inf: np.ndarray = field(repr=False)
     delta_tri: np.ndarray = field(repr=False)
     delta_hat: np.ndarray = field(repr=False)
     live: np.ndarray = field(repr=False)
     eliminated_at: dict[int, int | None]
+    bank: dict[int, tuple] = field(repr=False)
     excluded: dict[int, str]
     fault: str | None
     fault_step: int | None
@@ -273,13 +273,17 @@ class RunTrace:
     def snapshots(self) -> tuple[dict[int, ObserverState], ...]:
         """Per step, each mode's observer state as :func:`observer.step`
         leaves it after that step's (u, y) pair."""
+        K, model = len(self.active_sets), self.config.model
         per_mode = {}
         for i, q in enumerate(self.mode_ids):
+            _mode, dec, gains, _dyn = self.bank[q]
+            # over all K rows: a one-row product could round differently
+            xstar = stage_rows(dec, gains, model, self.xhat[:, i], self.inputs[:K], self.outputs[:K])[0]
+            xstar.setflags(write=False)
             x0 = self.xhat[0, i]
             states = [
                 ObserverState(
                     xhat_kk=x0,
-                    xhat_pred=x0,
                     xhat_star=x0,
                     dhat_prev=None,
                     delta_x=float(self.delta_x[0, i]),
@@ -292,8 +296,7 @@ class RunTrace:
             states += [
                 ObserverState(
                     xhat_kk=self.xhat[k, i],
-                    xhat_pred=self.xhat_pred[k, i],
-                    xhat_star=self.xhat_star[k, i],
+                    xhat_star=xstar[k - 1],
                     dhat_prev=self.dhat[k, i],
                     delta_x=float(self.delta_x[k, i]),
                     delta_d=float(self.delta_d[k, i]),
@@ -306,7 +309,7 @@ class RunTrace:
             per_mode[q] = states
         return tuple(
             {q: states[min(k, len(states) - 1)] for q, states in per_mode.items()}
-            for k in range(len(self.active_sets))
+            for k in range(K)
         )
 
 
@@ -448,40 +451,33 @@ def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, s
     return bank, excluded
 
 
-def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> tuple:
+def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> int | None:
     """Finish one hypothesis over the data rows ``u[0..N]``, ``y[0..N]``,
     given its corrected estimates in ``out["xhat"]``, and write its rows
     into ``out``, this mode's ``(N+1)``-row slices of the trace arrays.
-    Returns ``(eliminated_at, residuals)``; rows past the eliminating step
-    keep its estimates and radii, and NaN residuals and thresholds."""
+    Returns the eliminating step (None if none); rows past it keep its
+    estimates and radii, and NaN residual norms and thresholds."""
     model = cfg.model
     steps = y.shape[0] - 1
     out["delta_x"][:], out["delta_d"][:] = radius_sequence(dyn, model, steps)
-    *stages, r_rows = stage_rows(dec, gains, model, out["xhat"], u, y)
-    for name, rows in zip(("xhat_pred", "xhat_star", "dhat"), stages):
-        out[name][1:] = rows
-    del stages
-    out["xhat_pred"][0] = out["xhat_star"][0] = out["xhat"][0]  # dhat's row 0 stays NaN
-    r = np.empty((steps + 1, r_rows.shape[1]))  # the observer's innovation, one row per step
-    r[0] = np.nan
-    r[1:] = r_rows
-    del r_rows
-    xstar = out["xhat_star"]
+    # rows k-1 of xstar and r belong to step k; dhat's row 0 stays NaN
+    xstar, out["dhat"][1:], r = stage_rows(dec, gains, model, out["xhat"], u, y)
     r_norm = out["r_norm"]
-    r_norm[1:] = np.linalg.norm(r[1:], axis=1)
+    r_norm[1:] = np.linalg.norm(r, axis=1)
+    del r
     tracker = ThresholdTracker(
         dyn, dec, eta_w=model.eta_w, eta_v=model.eta_v, delta_x0=model.delta_x0
     )
-    elim = tracker.walk(r_norm, lambda k: residual_scale(dec, xstar[k], u[k], y[k]), out["thresholds"])
+    elim = tracker.walk(r_norm, lambda k: residual_scale(dec, xstar[k - 1], u[k], y[k]), out["thresholds"])
     if elim is None:
         out["live"][1:] = True
-        return None, r
+        return None
     # the estimates and radii stay frozen from the eliminating step on
-    for name in ("xhat", "xhat_pred", "xhat_star", "dhat", "delta_x", "delta_d"):
+    for name in ("xhat", "dhat", "delta_x", "delta_d"):
         out[name][elim + 1 :] = out[name][elim]
-    r[elim + 1 :] = r_norm[elim + 1 :] = np.nan
+    r_norm[elim + 1 :] = np.nan
     out["live"][1 : elim + 1] = True
-    return elim, r
+    return elim
 
 
 def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
@@ -510,8 +506,6 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     n, Q, rho = model.n, len(ids), d_true.shape[1]
     shapes = {
         "xhat": (n,),
-        "xhat_pred": (n,),
-        "xhat_star": (n,),
         "dhat": (rho,),
         "delta_x": (),
         "delta_d": (),
@@ -522,12 +516,11 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     arrays["live"] = np.zeros((last + 1, Q), dtype=bool)
     data = u[: last + 1], ys[: last + 1]  # no observer sees a non-finite output
     run_bank([bank[q][1:] for q in ids], model, xhat0, *data, arrays["xhat"])
-    eliminated_at, residuals = {}, []
+    eliminated_at = {}
     for i, q in enumerate(ids):
         _mode, dec, gains, dyn = bank[q]
         out = {name: arr[:, i] for name, arr in arrays.items()}
-        eliminated_at[q], r = _run_mode(cfg, dec, gains, dyn, *data, out)
-        residuals.append(r)
+        eliminated_at[q] = _run_mode(cfg, dec, gains, dyn, *data, out)
 
     fault = fault_step = fault_kind = None
     steps = last
@@ -547,7 +540,7 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
             f"floating-point range); the run stops there and records steps 0..{last}"
         )
     K = steps + 1
-    for arr in (*arrays.values(), *residuals):
+    for arr in arrays.values():
         arr.setflags(write=False)
     view = {name: arr[:K] for name, arr in arrays.items()}
     delta_inf, delta_tri, delta_hat = np.moveaxis(view.pop("thresholds"), 2, 0)
@@ -578,12 +571,12 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
         attack_values=d_true,
         mode_ids=ids,
         active_sets=tuple(active_sets),
-        residuals=tuple(r[:K] for r in residuals),
         delta_inf=delta_inf,
         delta_tri=delta_tri,
         delta_hat=delta_hat,
         **view,
         eliminated_at=eliminated_at,
+        bank=bank,
         excluded=excluded,
         fault=fault,
         fault_step=fault_step,

@@ -568,7 +568,7 @@ def per_mode_xhat(dec, gains, errdyn, model, xhat0, u, y):
 
     steps = y.shape[0]
     data = (u[:-1], y[:-1], u[1:], y[1:])
-    drive = _stages(dec, gains, model, np.zeros((steps - 1, model.n)), *data)[3]
+    drive = _stages(dec, gains, model, np.zeros((steps - 1, model.n)), *data)[2]
     xkk = np.empty((steps, model.n))
     xkk[0] = np.asarray(xhat0, dtype=float).reshape(-1)
     Ae = errdyn.Ae

@@ -467,6 +467,53 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, where):
 
 
 @pytest.mark.parametrize(
+    "where, named, command",
+    [
+        ("attack.bias", "attack.bias", "simulate"),
+        ("model.eta_w", "model.eta_w", "simulate"),
+        ("model.A", "model.A", "simulate"),
+        ("scenario.xhat0", "xhat0", "simulate"),
+        ("scenario.x0", "x0", "simulate"),
+        ("attack.values", "attack.values", "simulate"),
+        ("tuning.R_x", "tuning.R_x", "analyze"),
+        ("digit limit", "config error", "simulate"),
+    ],
+)
+def test_overflowing_config_numbers_rejected(tmp_path, capsys, where, named, command):
+    """An integer literal beyond the float range exits 2 naming its key,
+    not with an OverflowError traceback; one past Python's digit limit for
+    integers exits 2 as well."""
+    cfg = with_constant_attack(pair_config())
+    marker = 123.456789  # stands for the literal in the JSON text
+    digits = 5000 if where == "digit limit" else 400
+    if where == "attack.bias":
+        cfg["attack"] = {"kind": "sinusoid", "bias": marker}
+    elif where in ("model.eta_w", "digit limit"):
+        cfg["model"]["eta_w"] = marker
+    elif where == "model.A":
+        cfg["model"]["A"][0][1] = marker
+    elif where == "scenario.xhat0":
+        cfg["scenario"]["xhat0"] = [0.0, marker]
+    elif where == "scenario.x0":
+        cfg["scenario"]["x0"] = [marker, 0.0]
+    elif where == "attack.values":
+        cfg["attack"]["values"][7] = [marker]
+    else:
+        cfg["tuning"] = {"R_x": marker, "R_y": 1.0}
+    text = json.dumps(cfg)
+    assert text.count(repr(marker)) == 1
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace(repr(marker), "1" + "0" * digits))
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("known_input", [[1.0], [2.0, 3.0]]), ("xhat0", "abc"), ("x0", {"a": 1})],
 )

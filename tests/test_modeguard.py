@@ -980,7 +980,7 @@ def test_detectability_report_benchmark(benchmark_model, benchmark_modes):
                 assert rec.condition_i is False
         rec5 = by_pair[(q, 5)]
         assert not rec5.dimension_matched
-        assert rec5.condition_i is None and rec5.W is None
+        assert rec5.condition_i is None
         assert rec5.condition_ii is True
     assert report.overall_condition_ii is True
     assert report.overall_condition_i is False

@@ -431,6 +431,7 @@ def _assert_matches_stepwise(trace, ref):
             where = f"step {k}, mode {q}"
             assert (st.k, st.delta_x, st.delta_d) == (want.k, want.delta_x, want.delta_d), where
             _assert_close(st.xhat_kk, want.xhat_kk, where)
+            _assert_close(st.xhat_star, want.xhat_star, where)
             if want.dhat_prev is None:
                 assert st.dhat_prev is None, where
             else:
@@ -596,7 +597,7 @@ def test_pipeline_matches_stepwise_oracle_on_zero_residual_true_mode(plant):
 def test_trace_arrays_are_read_only():
     trace = run_pipeline(benchmark_scenario(seed=0, horizon=10))
     arrays = (trace.xhat, trace.dhat, trace.delta_x, trace.delta_hat, trace.live)
-    for arr in arrays + trace.residuals:
+    for arr in arrays + (trace.snapshots[3][1].xhat_star,):
         with pytest.raises(ValueError):
             arr[...] = 0
 
@@ -747,15 +748,15 @@ def _assert_bank_matches_per_mode(cfg):
     for i, q in enumerate(trace.mode_ids):
         _mode, dec, gains, dyn = bank[q]
         xkk = per_mode_xhat(dec, gains, dyn, model, xhat0, u, y)
-        xpred, xstar, dhat, _, r = _stages(dec, gains, model, xkk[:-1], u[:-1], y[:-1], u[1:], y[1:])
+        xstar, dhat, _, r = _stages(dec, gains, model, xkk[:-1], u[:-1], y[:-1], u[1:], y[1:])
         last = trace.eliminated_at[q] or trace.steps_recorded
         assert _same_bytes(np.ascontiguousarray(trace.xhat[: last + 1, i]), xkk[: last + 1]), q
+        snap_xstar = np.array([trace.snapshots[k][q].xhat_star for k in range(1, last + 1)])
         # the stages' rows start at step 1
         for name, got, want in (
-            ("xhat_pred", trace.xhat_pred[1:, i], xpred),
-            ("xhat_star", trace.xhat_star[1:, i], xstar),
+            ("xhat_star", snap_xstar.reshape(last, model.n), xstar),
             ("dhat", trace.dhat[1:, i], dhat),
-            ("residual", trace.residuals[i][1:], r),
+            ("r_norm", trace.r_norm[1:, i], np.linalg.norm(r, axis=1)),
         ):
             assert _same_bytes(np.ascontiguousarray(got[:last]), want[:last]), (q, name)
 
