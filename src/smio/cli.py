@@ -419,8 +419,12 @@ def summary_document(trace: RunTrace) -> dict:
     }
 
 
+def _summary_path(csv_path) -> Path:
+    return Path(csv_path).with_suffix(".summary.json")
+
+
 def write_summary(trace: RunTrace, csv_path) -> Path:
-    path = Path(csv_path).with_suffix(".summary.json")
+    path = _summary_path(csv_path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary_document(trace), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -431,7 +435,10 @@ def write_summary(trace: RunTrace, csv_path) -> Path:
 
 
 def _run_and_write(cfg: ScenarioConfig, out) -> int:
-    _check_writable(out)  # the summary goes to the same directory
+    # both outputs are checked before any work, so a run never leaves a CSV
+    # without its summary
+    _check_writable(out)
+    _check_writable(_summary_path(out))
     trace = run_pipeline(cfg)
     write_trace_csv(trace, out)
     summary_path = write_summary(trace, out)

@@ -180,6 +180,9 @@ def enumerate_modes(t_a: int, t_s: int, rho: int, G, H) -> list[ModeHypothesis]:
     that order, so numbering is reproducible across runs.
     """
     t_a, t_s, rho = int(t_a), int(t_s), int(rho)
+    for name, count in (("t_a", t_a), ("t_s", t_s)):
+        if count < 0:
+            raise SparsityError(f"{name}={count} must be a nonnegative channel count")
     if not 0 <= rho <= t_a + t_s:
         raise SparsityError(
             f"sparsity rho={rho} must lie in [0, {t_a + t_s}] for t_a={t_a}, t_s={t_s}"

@@ -5,20 +5,21 @@ observers over the whole horizon at once: the plant trajectory exists
 before the bank runs, each observer is a fixed affine recursion, its radii
 and thresholds do not depend on the data, and eliminating one hypothesis
 never changes another's estimates.  The plant's known-input, attack and
-output terms are one stacked product each over the horizon, and only
-``A x_k`` is stepped.  Per mode, the data drive of every step is one
-matrix product per observer stage; the state recursion then steps every
-mode at once, one stacked product of the modes' n-by-n error maps per
-step; and the observer's stages, whose innovation is the residual, take
-one product each.  Each mode's threshold tracker then runs the residual
-test over the residual norms (:meth:`~smio.modeguard.ThresholdTracker.walk`)
-and stops at the step that eliminates the mode.  The run records the
-bank and what it publishes in a replayable trace of arrays.  Noise is
-drawn uniformly from the 2-norm balls the bounds describe, so runs
-exercise the constraint set all the way to its boundary; every random
-draw is tied to one seed and a fixed stream order, which makes traces
-bit-reproducible.  Each noise direction is drawn into its row in that
-order, and the rows are scaled at the end.
+output terms are one stacked product each over the horizon, and each
+state step is one product ``A x_k`` and one add.  Per mode, the data
+drive of every step is one matrix product per observer stage; the state
+recursion then steps every mode at once, one stacked product of the
+modes' n-by-n error maps per step; and the observer's stages, whose
+innovation is the residual, take one product each.  Each mode's threshold
+tracker then runs the residual test over the residual norms
+(:meth:`~smio.modeguard.ThresholdTracker.walk`) and stops at the step that
+eliminates the mode.  The run records the bank and what it publishes in
+a replayable trace of arrays.  Noise is drawn uniformly from the 2-norm
+balls the bounds describe, so runs exercise the constraint set all the
+way to its boundary; every random draw is tied to one seed and a fixed
+stream order, which makes traces bit-reproducible.  The noise is drawn in
+bulk: all directions of one kind in one call, then all radii in one call
+(:func:`_noise`).
 """
 
 from __future__ import annotations
@@ -313,53 +314,61 @@ class RunTrace:
         )
 
 
-def _ball_scale(g: np.ndarray, eta: float, rng: np.random.Generator) -> float:
-    """Draw the radius of a uniform point of the 2-norm ball of radius ``eta``
-    whose direction is the standard normal draw ``g``, and return the factor
-    that takes ``g`` to that point.  For a zero radius or a zero ``g`` the
-    radius is drawn all the same, so turning a bound on or off never shifts
-    later draws, ``g`` is set to +0.0 and the factor is 0.0.  A ball of
-    dimension 0 draws nothing."""
-    if not g.size:
-        return 0.0
-    nrm = math.sqrt(g.dot(g))  # np.linalg.norm's arithmetic on a vector
-    r = rng.random()
-    if eta == 0.0 or nrm == 0.0:
+def _to_ball(g: np.ndarray, eta: float, r: np.ndarray) -> np.ndarray:
+    """Take each row of the standard normal draws ``g``, in place, to a
+    uniform point of the closed 2-norm ball of radius ``eta``: the row
+    times ``eta * r**(1/dim) / ||row||``, where ``r`` holds one uniform draw
+    per row.  A zero bound or a zero row gives a +0.0 row (a plain product
+    would leave -0.0 on its negative entries).  Each norm is one dot of the
+    row with itself, as ``np.linalg.norm`` takes it, and ``float_power`` is
+    libm's ``pow`` as Python's ``**`` is (``np.power`` may take a SIMD
+    ``pow`` that differs in the last bit)."""
+    if eta == 0.0:
         g[:] = 0.0
-        return 0.0
-    return eta * r ** (1.0 / g.size) / nrm
+        return g
+    nrm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+    if not nrm.all():
+        zero = nrm == 0.0
+        g[zero] = 0.0
+        nrm[zero] = np.inf  # a factor of 0.0
+    g *= (eta * np.float_power(r, 1.0 / g.shape[1]) / nrm)[:, None]
+    return g
 
 
 def sample_bounded(dim: int, eta: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the closed 2-norm ball of radius eta."""
+    """Uniform draw from the closed 2-norm ball of radius eta: one
+    ``standard_normal(dim)``, then one ``random()`` for the radius, drawn
+    for a zero radius or a zero direction too (either gives +0.0); a ball of
+    dimension 0 draws nothing."""
     eta = float(eta)
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     g = rng.standard_normal(int(dim))
-    return _ball_scale(g, eta, rng) * g
+    if not g.size:
+        return g
+    nrm = math.sqrt(g.dot(g))  # np.linalg.norm's arithmetic on a vector
+    r = rng.random()
+    if eta == 0.0 or nrm == 0.0:
+        return np.zeros(g.size)
+    return (eta * r ** (1.0 / g.size) / nrm) * g
 
 
 def _noise(model: SystemModel, N: int, rng: np.random.Generator):
     """``(ws, vs)``: the process noise of steps 0..N-1 and the measurement
-    noise of steps 0..N, drawn as ``sample_bounded`` draws them, in the
-    stream order v_0, w_0, v_1, w_1, ..., v_N.  Each direction is drawn into
-    its row, and the rows are scaled together at the end."""
-    ws, vs = np.empty((N, model.n)), np.empty((N + 1, model.l))
-    fw, fv = np.empty(N), np.empty(N + 1)
-    normal, scale = rng.standard_normal, _ball_scale
-    eta_w, eta_v = model.eta_w, model.eta_v
-    for k in range(N):
-        g = vs[k]
-        normal(out=g)
-        fv[k] = scale(g, eta_v, rng)
-        g = ws[k]
-        normal(out=g)
-        fw[k] = scale(g, eta_w, rng)
-    g = vs[N]
-    normal(out=g)
-    fv[N] = scale(g, eta_v, rng)
-    ws *= fw[:, None]
-    vs *= fv[:, None]
+    noise of steps 0..N, each row uniform on its ball (:func:`_to_ball`),
+    drawn from ``rng`` in this order: ``standard_normal((N+1, l))`` for every
+    measurement direction, ``standard_normal((N, n))`` for every process
+    direction, then one ``random(...)`` for the radii, the v rows' first and
+    then the w rows'.  A zero bound draws its directions and radii all the
+    same, so turning it on or off never shifts the other noise; a ball of
+    dimension 0 draws nothing."""
+    vs = rng.standard_normal((N + 1, model.l))
+    ws = rng.standard_normal((N, model.n))
+    balls = [(g, eta) for g, eta in ((vs, model.eta_v), (ws, model.eta_w)) if g.shape[1]]
+    r = rng.random(sum(len(g) for g, _eta in balls))
+    for g, eta in balls:
+        _to_ball(g, eta, r[: len(g)])
+        r = r[len(g) :]
     return ws, vs
 
 
@@ -385,38 +394,28 @@ def _simulate(cfg: ScenarioConfig):
     x0 = cfg.x0 if cfg.x0 is not None else xhat0 + sample_bounded(n, model.delta_x0, rng_init)
     ws, vs = _noise(model, N, rng_noise)
     d_rows = d[: N + 1, : mode_star.rho]
-    # x_{k+1} = ((A x_k + B u_k) + Gq d_k) + w_k and
-    # y_k = ((C x_k + D u_k) + Hq d_k) + v_k, in this order of sums; only the
-    # A x_k term is stepped.  Rows after the first non-finite state or output
-    # stay NaN: the plant has left the floating-point range, and stepping on
-    # would only overflow.
-    xs = np.full((N + 1, n), np.nan)
-    ys = np.full((N + 1, model.l), np.nan)
+    # x_{k+1} = A x_k + f_k with the forcing f_k = (B u_k + Gq d_k) + w_k, and
+    # y_k = ((C x_k + D u_k) + Hq d_k) + v_k, in this order of sums; f and y
+    # are formed over the whole horizon, and each state step is one product
+    # and one add.  Rows after the first non-finite state or output are set
+    # to NaN: the plant has left the floating-point range there.
+    xs = np.empty((N + 1, n))
     xs[0] = x0
-    last = N
     with np.errstate(over="ignore", invalid="ignore"):
-        Bu = _rows_times(model.B, u[:N])
-        Gd = _rows_times(mode_star.Gq, d_rows[:N])
-        A, matmul, isfinite = model.A, np.matmul, math.isfinite
-        for k in range(N):
-            x = xs[k + 1]
-            matmul(A, xs[k], out=x)
-            x += Bu[k]
-            x += Gd[k]
-            x += ws[k]
-            # x.x is finite unless x is not, or its square overflows
-            if not isfinite(x.dot(x)) and not np.isfinite(x).all():
-                last = k + 1
-                break
-        y = ys[: last + 1]
-        y[:] = _rows_times(model.C, xs[: last + 1])
-        y += _rows_times(model.D, u[: last + 1])
-        y += _rows_times(mode_star.Hq, d_rows[: last + 1])
-        y += vs[: last + 1]
-    finite = np.isfinite(xs[: last + 1]).all(axis=1) & np.isfinite(y).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        xs[bad + 1 :] = ys[bad + 1 :] = np.nan
+        f = _rows_times(model.B, u[:N])
+        f += _rows_times(mode_star.Gq, d_rows[:N])
+        f += ws
+        A, matmul, add = model.A, np.matmul, np.add
+        for x_prev, x, f_k in zip(xs[:-1], xs[1:], f):
+            add(matmul(A, x_prev), f_k, out=x)
+        ys = _rows_times(model.C, xs)
+        ys += _rows_times(model.D, u[: N + 1])
+        ys += _rows_times(mode_star.Hq, d_rows)
+        ys += vs
+        finite = np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            xs[bad + 1 :] = ys[bad + 1 :] = np.nan
     return xs, ys, u, d, xhat0
 
 

@@ -7,7 +7,7 @@ map, a one-level-at-a-time replay of the threshold power sequence, the
 estimation pipeline stepped one observer update at a time with a record
 of each residual test, the cross-mode
 re-based residual, the trace CSV formatted one row at a time, the plant
-simulated one step and one noise draw at a time, one observer's state
+simulated one step and one noise row at a time, one observer's state
 recursion stepped on its own, and the radius recursion taken at every
 step.  The pipeline, the residual, the CSV writer, the observer recursion
 and the radius recursion use ``smio`` (imported where they run): the
@@ -504,6 +504,16 @@ def row_by_row_trace_csv(trace, path):
         fh.write("".join(lines))
 
 
+def _ball_row(g, eta, r):
+    """The standard normal direction ``g`` taken to a uniform point of the
+    closed 2-norm ball of radius ``eta`` with the uniform radius draw ``r``;
+    a zero bound or a zero direction gives +0.0 entries."""
+    nrm = float(np.linalg.norm(g))
+    if eta == 0.0 or nrm == 0.0:
+        return np.zeros(len(g))
+    return (eta * r ** (1.0 / len(g)) / nrm) * g
+
+
 def _sample_bounded_stepwise(dim, eta, rng):
     """A uniform draw from the closed 2-norm ball of radius ``eta``, one
     ``standard_normal(dim)`` and one ``uniform()`` per call."""
@@ -514,18 +524,33 @@ def _sample_bounded_stepwise(dim, eta, rng):
     if dim == 0:
         return np.zeros(0)
     g = rng.standard_normal(dim)
-    nrm = float(np.linalg.norm(g))
-    if eta == 0.0 or nrm == 0.0:
-        rng.uniform()
-        return np.zeros(dim)
-    return (eta * rng.uniform() ** (1.0 / dim) / nrm) * g
+    return _ball_row(g, eta, rng.uniform())
+
+
+def stepwise_noise(model, N, rng):
+    """``(ws, vs)`` drawn one row at a time: every measurement direction
+    (v_0 .. v_N, one ``standard_normal(l)`` each), then every process
+    direction (w_0 .. w_{N-1}, one ``standard_normal(n)`` each), then one
+    ``random()`` radius per row in the same order, v rows first.  A ball of
+    dimension 0 draws neither."""
+    n, l = model.n, model.l
+    vs = np.zeros((N + 1, l))
+    ws = np.zeros((N, n))
+    v_dirs = [rng.standard_normal(l) for _ in range(N + 1)] if l else []
+    w_dirs = [rng.standard_normal(n) for _ in range(N)] if n else []
+    for k, g in enumerate(v_dirs):
+        vs[k] = _ball_row(g, float(model.eta_v), rng.random())
+    for k, g in enumerate(w_dirs):
+        ws[k] = _ball_row(g, float(model.eta_w), rng.random())
+    return ws, vs
 
 
 def stepwise_simulate(cfg):
     """The plant of ``cfg`` under its true mode, one step at a time, with
-    each noise row drawn as it is needed (v_0, w_0, v_1, ..., v_N).
-    Returns ``(states, outputs)``; the rows after the first non-finite state
-    or output are NaN."""
+    the noise of :func:`stepwise_noise`: x_{k+1} = A x_k + ((B u_k + Gq d_k)
+    + w_k) and y_k = ((C x_k + D u_k) + Hq d_k) + v_k.  Returns
+    ``(states, outputs)``; the rows after the first non-finite state or
+    output are NaN."""
     model = cfg.model
     N = cfg.horizon
     n, l = model.n, model.l
@@ -540,12 +565,7 @@ def stepwise_simulate(cfg):
     rng_noise = np.random.default_rng(noise_ss)
     xhat0 = cfg.xhat0 if cfg.xhat0 is not None else np.zeros(n)
     x0 = cfg.x0 if cfg.x0 is not None else xhat0 + _sample_bounded_stepwise(n, model.delta_x0, rng_init)
-    ws = np.zeros((N, n))
-    vs = np.zeros((N + 1, l))
-    for k in range(N + 1):
-        vs[k] = _sample_bounded_stepwise(l, model.eta_v, rng_noise)
-        if k < N:
-            ws[k] = _sample_bounded_stepwise(n, model.eta_w, rng_noise)
+    ws, vs = stepwise_noise(model, N, rng_noise)
     xy = np.full((N + 1, n + l), np.nan)
     xs, ys = xy[:, :n], xy[:, n:]
     xs[0] = x0
@@ -555,7 +575,7 @@ def stepwise_simulate(cfg):
             ys[k] = model.C @ xs[k] + model.D @ u[k] + mode_star.Hq @ dk + vs[k]
             if k == N or not np.isfinite(xy[k]).all():
                 break
-            xs[k + 1] = model.A @ xs[k] + model.B @ u[k] + mode_star.Gq @ dk + ws[k]
+            xs[k + 1] = model.A @ xs[k] + ((model.B @ u[k] + mode_star.Gq @ dk) + ws[k])
     return np.ascontiguousarray(xs), np.ascontiguousarray(ys)
 
 

@@ -419,6 +419,23 @@ def test_missing_pieces_rejected(tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "modes, key",
+    [({"t_a": -1, "t_s": 5, "rho": 4}, "t_a=-1"), ({"t_a": -1, "t_s": 0, "rho": 0}, "t_a=-1"),
+     ({"t_a": 0, "t_s": -2, "rho": 0}, "t_s=-2")],
+)
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_negative_channel_count_rejected_by_name(tmp_path, capsys, modes, key, command):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "separable_bank.json"
+    doc = json.loads(demo.read_text(encoding="utf-8"))
+    doc["modes"] = modes
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a nonnegative channel count" in err
+    assert "Traceback" not in err
+
+
 def test_inconsistent_model_rejected(tmp_path, capsys):
     cfg = pair_config()
     cfg["model"]["B"] = [[1.0]]  # wrong row count
@@ -663,6 +680,27 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, command,
     reason = "No such file or directory" if where == "missing_dir" else "Is a directory"
     assert err == f"smio {command}: error: cannot write '{out}': {reason}\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_unwritable_summary_is_a_usage_error_before_the_run(tmp_path, capsys, monkeypatch, command):
+    """A summary path that cannot be written exits 1 before any pipeline
+    work, so no CSV is left without its summary."""
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the summary path was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_work)
+    summary = tmp_path / "x.summary.json"
+    summary.mkdir()
+    out = tmp_path / "x.csv"
+    argv = [command, "--horizon", "3", "--out", str(out)]
+    if command == "simulate":
+        argv += ["--config", write_config(tmp_path, pair_config())]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"smio {command}: error: cannot write '{summary}': Is a directory\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")

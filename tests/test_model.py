@@ -92,6 +92,15 @@ def test_sparsity_out_of_range_rejected():
         enumerate_modes(1, 3, -1, G, H)
 
 
+@pytest.mark.parametrize("t_a, t_s, rho", [(-1, 5, 4), (-1, 0, 0), (2, -1, 1)])
+def test_negative_channel_count_rejected_by_name(t_a, t_s, rho):
+    name, count = ("t_a", t_a) if t_a < 0 else ("t_s", t_s)
+    G = np.ones((2, max(t_a, 0)))
+    H = np.ones((2, max(t_s, 0)))
+    with pytest.raises(SparsityError, match=f"^{name}={count} must be a nonnegative"):
+        enumerate_modes(t_a, t_s, rho, G, H)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     t_a=st.integers(min_value=1, max_value=4),

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,59 @@ def test_sample_bounded_deterministic():
     a = [sample_bounded(3, 0.5, np.random.default_rng(42)) for _ in range(1)]
     b = [sample_bounded(3, 0.5, np.random.default_rng(42)) for _ in range(1)]
     np.testing.assert_array_equal(a[0], b[0])
+
+
+def _noise_shape(n, l, eta_w, eta_v):
+    """The fields of a model that ``sim._noise`` reads."""
+    return SimpleNamespace(n=n, l=l, eta_w=eta_w, eta_v=eta_v)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_noise_rows_are_uniform_on_their_balls(dim):
+    # each row is uniform on its ball: within the bound, and its radius
+    # follows r^(1/dim), so P(|x| > 0.9 eta) = 1 - 0.9^dim, P(|x| <= eta/2) = 0.5^dim
+    eta_w, eta_v = 0.3, 2.0
+    ws, vs = sim._noise(_noise_shape(dim, dim, eta_w, eta_v), 4000, np.random.default_rng(3))
+    assert ws.shape == (4000, dim) and vs.shape == (4001, dim)
+    for rows, eta in ((ws, eta_w), (vs, eta_v)):
+        radii = np.linalg.norm(rows, axis=1) / eta
+        assert radii.max() <= 1 + 1e-12
+        assert radii.max() > 0.999
+        assert abs(np.mean(radii > 0.9) - (1 - 0.9**dim)) < 0.03
+        assert abs(np.mean(radii <= 0.5) - 0.5**dim) < 0.03
+
+
+@pytest.mark.parametrize("zero", ["eta_w", "eta_v"])
+def test_noise_rows_of_a_zero_bound_are_positive_zeros(zero):
+    bounds = {"eta_w": 0.3, "eta_v": 2.0, zero: 0.0}
+    ws, vs = sim._noise(_noise_shape(3, 2, **bounds), 500, np.random.default_rng(4))
+    rows = ws if zero == "eta_w" else vs
+    assert rows.shape[0] in (500, 501)
+    assert not rows.any() and not np.signbit(rows).any()
+    other = vs if zero == "eta_w" else ws
+    assert np.signbit(other).any()  # the other ball's rows are live
+
+
+def test_ball_row_whose_draws_are_all_zero_is_positive_zero():
+    g = np.array([[-0.0, 0.0], [3.0, -4.0]])
+    sim._to_ball(g, 5.0, np.array([0.25, 0.25]))
+    assert not g[0].any() and not np.signbit(g[0]).any()
+    assert np.array_equal(g[1], [1.5, -2.0])  # 5 * 0.25**(1/2) / 5 = 0.5
+
+
+@pytest.mark.parametrize("n, l", [(0, 3), (2, 0), (0, 0)])
+def test_noise_ball_of_dimension_zero_draws_nothing(n, l):
+    N = 50
+    rng = np.random.default_rng(5)
+    ws, vs = sim._noise(_noise_shape(n, l, 0.3, 2.0), N, rng)
+    assert ws.shape == (N, n) and vs.shape == (N + 1, l)
+    # the stream holds only the other ball's directions and radii
+    ref = np.random.default_rng(5)
+    balls = [(rows, dim) for rows, dim in ((N + 1, l), (N, n)) if dim]
+    for rows, dim in balls:
+        ref.standard_normal((rows, dim))
+    ref.random(sum(rows for rows, _dim in balls))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ------------------------------------------------------------ simulate_plant
