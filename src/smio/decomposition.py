@@ -65,7 +65,25 @@ class ConservativeRadiusWarning(UserWarning):
 
 
 def _norm2(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+    """``np.linalg.norm(M, 2)``'s float: the largest singular value of the
+    same LAPACK call, without ``norm``'s axis handling (0.0 when empty)."""
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
+def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
+    """:func:`_norm2` of each matrix ``stack[i]`` of a 3-D block, in one
+    LAPACK call.  A LAPACK gufunc gives a matrix the same singular values
+    whichever matrices share its call, so the bank takes same-shape
+    matrices together and the tracker each noise family's block of levels
+    whole.  Only the matrices with a nonzero entry go to LAPACK: an
+    all-zero matrix's 2-norm is +0.0 whatever the signs of its zeros."""
+    nonzero = stack.any(axis=(1, 2))
+    if nonzero.all():
+        return np.linalg.svd(stack, compute_uv=False).max(axis=1)
+    norms = np.zeros(stack.shape[0])
+    if nonzero.any():
+        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False).max(axis=1)
+    return norms
 
 
 def _spectral_radius(M: np.ndarray) -> float:
@@ -252,14 +270,16 @@ def _filter_dare(Abar: np.ndarray, C2: np.ndarray) -> np.ndarray:
     pair converges quadratically; one that is not makes ``H`` diverge,
     which raises :class:`SynthesisError`.
     """
-    I = np.eye(Abar.shape[0])
+    n = Abar.shape[0]
+    I = np.eye(n)
     A, G, H = Abar.T, C2.T @ C2, I
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
             try:
-                WA, WG = np.hsplit(np.linalg.solve(I + G @ H, np.hstack([A, G])), 2)
+                W = np.linalg.solve(I + G @ H, np.concatenate((A, G), axis=1))
             except np.linalg.LinAlgError as exc:
                 raise SynthesisError(f"Riccati synthesis failed: {exc}") from exc
+            WA, WG = W[:, :n], W[:, n:]
             H_next = H + A.T @ H @ WA
             H_next = 0.5 * (H_next + H_next.T)
             G = G + A @ WG @ A.T
@@ -337,6 +357,9 @@ def error_dynamics(
     Bew = IL @ Bew_star
     Bev1 = IL @ Bev1_star
     Bev2 = IL @ Bev2_star - gains.Ltilde @ dec.T2
+    # one LAPACK call per shape: the n-by-n maps, then the n-by-l ones
+    theta, a_pred, w_gain = _stacked_norm2(np.stack((Ae, At, Bew))).tolist()
+    v_pred, bev1, bev2 = _stacked_norm2(np.stack((G1M1T1, Bev1, Bev2))).tolist()
     dyn = ErrorDynamics(
         Abar=Abar,
         Ae=Ae,
@@ -346,22 +369,24 @@ def error_dynamics(
         Bew=Bew,
         Bev1=Bev1,
         Bev2=Bev2,
-        theta=_norm2(Ae),
-        a_pred=_norm2(At),
-        v_pred=_norm2(G1M1T1),
-        w_gain=_norm2(Bew),
-        v_gain=_norm2(Bev1) + _norm2(Bev2),
+        theta=theta,
+        a_pred=a_pred,
+        v_pred=v_pred,
+        w_gain=w_gain,
+        v_gain=bev1 + bev2,
         v1m1=_norm2(dec.V1 @ gains.M1),
         v2m2=_norm2(dec.V2 @ gains.M2),
         c1=_norm2(dec.C1),
         c2=_norm2(dec.C2),
     )
-    if dyn.theta >= 1.0 > dyn.spectral_radius:
-        warnings.warn(
-            f"error map is stable (spectral radius {dyn.spectral_radius:.4f}) but "
-            f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
-            "radius will grow transiently and its recursion never contracts",
-            ConservativeRadiusWarning,
-            stacklevel=2,
-        )
+    if dyn.theta >= 1.0:
+        radius = dyn.spectral_radius
+        if radius < 1.0:
+            warnings.warn(
+                f"error map is stable (spectral radius {radius:.4f}) but "
+                f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
+                "radius will grow transiently and its recursion never contracts",
+                ConservativeRadiusWarning,
+                stacklevel=2,
+            )
     return dyn

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import ErrorDynamics, ModeDecomposition, _norm2
+from .decomposition import ErrorDynamics, ModeDecomposition, _norm2, _stacked_norm2
 from .model import SystemModel
 from .observer import SetEstimate
 
@@ -90,23 +90,6 @@ _SCREEN_MIN_COLS = 10
 _SCREEN_T_MIN = 2.0**-900
 _SCREEN_T_MAX = 2.0**900
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
-    """:func:`_norm2` of each matrix ``stack[i]`` of a 3-D block, in one
-    LAPACK call: the singular values that ``np.linalg.norm(M, 2)`` takes
-    the largest of, without its per-call axis handling.  The tracker passes
-    each noise family's block of levels whole.  Only the matrices with a
-    nonzero entry go to LAPACK: an all-zero matrix's 2-norm is +0.0 whatever
-    the signs of its zeros, and the others' singular values do not depend
-    on which matrices share the call."""
-    nonzero = stack.any(axis=(1, 2))
-    if nonzero.all():
-        return np.linalg.svd(stack, compute_uv=False).max(axis=1)
-    norms = np.zeros(stack.shape[0])
-    if nonzero.any():
-        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False).max(axis=1)
-    return norms
 
 
 # --------------------------------------------------------------------- types
@@ -204,9 +187,29 @@ def residual(dec: ModeDecomposition, xhat_star, u_k, y_k) -> np.ndarray:
 
 def residual_scale(dec: ModeDecomposition, xhat_star, u_k, y_k) -> float:
     """||T2 y_k|| + ||C2 xhat_star|| + ||D2 u_k|| for 1-D arrays: the size of
-    the terms :func:`residual` subtracts, which bounds its rounding error."""
+    the terms :func:`residual` subtracts, which bounds its rounding error.
+    A term whose squares overflow gets its norm from :func:`_row_norms`."""
     terms = (dec.T2 @ y_k, dec.C2 @ xhat_star, dec.D2 @ u_k)
-    return float(sum(np.linalg.norm(t) for t in terms))
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(t) for t in terms]
+    return float(sum(_row_norms(t[None])[0] if x == np.inf else x for t, x in zip(terms, norms)))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X, axis=1)`` without a false overflow: a row of
+    finite entries whose squares overflow, so that ``norm`` gives inf,
+    gets its largest magnitude times the norm of the row divided by it,
+    which is inf only when the norm itself is out of range.  Every other
+    row keeps ``norm``'s float."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+        big = np.isinf(norms)
+        if big.any():
+            big &= np.isfinite(X).all(axis=1)
+            rows = X[big]
+            top = np.abs(rows).max(axis=1)
+            norms[big] = top * np.linalg.norm(rows / top[:, None], axis=1)
+    return norms
 
 
 # ------------------------------------------------------- incremental tracker
@@ -223,10 +226,11 @@ class ThresholdTracker:
     computed ahead of the current level ``k`` in blocks whose size doubles
     up to a fixed cap.  Within a block only the powers are stepped one
     level at a time; each family's products are one stacked matmul over
-    the block, its norms one stacked 2-norm call, and its running sums one
-    ``cumsum`` seeded with the previous total.  Each of these gives the
-    very floats of the one-level-at-a-time loop, at a fraction of its
-    per-call cost.  A stable error map drives the rows to exact zeros (on
+    the block, and its running sums one ``cumsum`` seeded with the previous
+    total; the norms take one stacked 2-norm call per shape, the rows with
+    their Bew products and the Bev1 with the Mv products.  Each of these
+    gives the very floats of the one-level-at-a-time loop, at a fraction of
+    its per-call cost.  A stable error map drives the rows to exact zeros (on
     the built-in plant from level 248 on); once a block ends in an all-zero
     row, every later level is zero too, because ``0 @ Ae`` is exactly 0 for
     a finite ``Ae``, so later blocks only append zero norms and repeat the
@@ -277,9 +281,9 @@ class ThresholdTracker:
         self._v_prev = C2 @ (errdyn.Bev1_star + errdyn.Abar @ errdyn.Bev2)
         self._v_last = C2 @ errdyn.Bev2_star + dec.T2
         self._nw_last = _norm2(self._w_last)
-        self._nv0_at_k1 = _norm2(self._v0_at_k1)
-        self._nv_prev = _norm2(self._v_prev)
-        self._nv_last = _norm2(self._v_last)
+        self._nv0_at_k1, self._nv_prev, self._nv_last = _stacked_norm2(
+            np.stack((self._v0_at_k1, self._v_prev, self._v_last))
+        ).tolist()
         # per-power state, one entry per computed level j (rows[j] =
         # C2 Abar Ae^j), ahead of k; the sums start with their values before
         # level 0, so entry k-1 of each norm list is step k's term
@@ -332,13 +336,16 @@ class ThresholdTracker:
         # one product per family: a stacked matmul multiplies level by
         # level, as row @ B does
         wprod, bprod, mvprod = rows @ self._Bew, rows @ self._Bev1, rows @ self._Mv
-        self._row_norm += _stacked_norm2(rows).tolist()
-        self._bev1_norm += _stacked_norm2(bprod).tolist()
-        for cum, prod in ((self._cum_w, wprod), (self._cum_mv, mvprod)):
+        # one 2-norm call per shape: the r-by-n rows with their Bew products,
+        # then the r-by-l Bev1 and Mv products
+        row_w = _stacked_norm2(np.concatenate((rows, wprod)))
+        bev1_mv = _stacked_norm2(np.concatenate((bprod, mvprod)))
+        self._row_norm += row_w[:size].tolist()
+        self._bev1_norm += bev1_mv[:size].tolist()
+        for cum, norms in ((self._cum_w, row_w[size:]), (self._cum_mv, bev1_mv[size:])):
             # seeded with the previous total, cumsum adds left to right,
             # so every running sum is the float a Python loop would give
-            terms = np.concatenate(([cum[-1]], _stacked_norm2(prod)))
-            cum += np.cumsum(terms)[1:].tolist()
+            cum += np.cumsum(np.concatenate(([cum[-1]], norms)))[1:].tolist()
         self._rows += levels[:keep]
         for kept, block in ((self._wprod, wprod), (self._bprod, bprod), (self._mvprod, mvprod)):
             kept += [level.copy() for level in block[:keep]]
@@ -448,15 +455,9 @@ class ThresholdTracker:
             blocks.extend(self._mvprod[k - 2 - i] for i in range(1, k - 1))
             blocks.append(self._v_prev)
             blocks.append(self._v_last)
-        A = np.hstack(blocks)
         n, l = self._n, self._l
-        bounds = np.concatenate(
-            [
-                np.full(n, self.delta_x0),
-                np.full(n * k, self.eta_w),
-                np.full(l * (k + 1), self.eta_v),
-            ]
-        )
+        A = np.concatenate(blocks, axis=1)
+        bounds = np.repeat((self.delta_x0, self.eta_w, self.eta_v), (n, n * k, l * (k + 1)))
         return StackedResidualModel(k=k, n=n, l=l, Aq_k=A, bounds=bounds)
 
 
@@ -754,15 +755,16 @@ def detectability_report(
             cond_i = None
             if matched:
                 r = dec_q.residual_dim
-                W = np.hstack(
-                    [
+                W = np.concatenate(
+                    (
                         dec_q.C2 - dec_p.C2,
                         dec_q.T2 - dec_p.T2,
                         -np.eye(r),
                         np.eye(r),
                         dec_q.D2,
                         -dec_p.D2,
-                    ]
+                    ),
+                    axis=1,
                 )
                 sv = np.linalg.svd(W, compute_uv=False)
                 sigma_min = float(sv[-1]) if sv.size else 0.0

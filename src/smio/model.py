@@ -20,12 +20,14 @@ admits a stable unknown-input observer in the first place.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "MODES_MAX",
     "SystemModel",
     "ModeHypothesis",
     "AttackSignal",
@@ -37,6 +39,10 @@ __all__ = [
     "check_strong_detectability",
     "validate",
 ]
+
+# Largest hypothesis bank enumerate_modes builds; sim.py says what it
+# bounds, beside HORIZON_MAX.
+MODES_MAX = 1024
 
 # invariant_zeros' rank test: a zero where the smallest singular value is at most this relative
 _ZERO_TOL = 1e-8
@@ -177,7 +183,9 @@ def enumerate_modes(t_a: int, t_s: int, rho: int, G, H) -> list[ModeHypothesis]:
 
     Modes are ordered lexicographically on the attacked channel indices with
     actuator channels before sensor channels, and ids are assigned 1-based in
-    that order, so numbering is reproducible across runs.
+    that order, so numbering is reproducible across runs.  More than
+    :data:`MODES_MAX` hypotheses raise :class:`SparsityError` before any is
+    built.
     """
     t_a, t_s, rho = int(t_a), int(t_s), int(rho)
     for name, count in (("t_a", t_a), ("t_s", t_s)):
@@ -193,6 +201,12 @@ def enumerate_modes(t_a: int, t_s: int, rho: int, G, H) -> list[ModeHypothesis]:
         raise ModelError(f"G must have {t_a} columns; got shape {G.shape}")
     if H.ndim != 2 or H.shape[1] != t_s:
         raise ModelError(f"H must have {t_s} columns; got shape {H.shape}")
+    count = math.comb(t_a + t_s, rho)
+    if count > MODES_MAX:
+        raise SparsityError(
+            f"t_a={t_a}, t_s={t_s}, rho={rho} give {count} hypotheses, "
+            f"more than the {MODES_MAX} a bank may hold"
+        )
 
     modes = []
     for mid, channels in enumerate(itertools.combinations(range(t_a + t_s), rho), start=1):
@@ -316,14 +330,19 @@ def invariant_zeros(A, Gq, C, Hq):
     # Rank-test rows beyond the eigenvalue condition itself.
     extra = np.vstack([C2, (np.eye(C2.shape[0]) - C2G @ M2) @ C2 @ At])
 
+    # One batched SVD over the candidates: LAPACK gives each pencil the
+    # singular values of a call of its own.  The batch is complex exactly
+    # when eigvals returns a complex array, as each candidate z is.
     eigs = np.linalg.eigvals(Abar)
+    stacks = np.empty((eigs.size, n + extra.shape[0], n), dtype=eigs.dtype)
+    stacks[:, :n] = Abar - eigs[:, None, None] * np.eye(n)
+    stacks[:, n:] = extra
     zeros = []
-    for z in eigs:
-        stack = np.vstack([Abar - z * np.eye(n), extra])
-        s_st = np.linalg.svd(stack, compute_uv=False)
-        scale = max(1.0, float(s_st[0]) if s_st.size else 0.0)
-        if s_st.size < n or s_st[-1] <= _ZERO_TOL * scale:
-            zeros.append(complex(z))
+    if eigs.size:
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        # fmax, like max(1.0, s), takes 1.0 over a NaN
+        hits = sv[:, -1] <= _ZERO_TOL * np.fmax(1.0, sv[:, 0])
+        zeros = [complex(z) for z in eigs[hits]]
     note = (
         f"one-step reduction: rank {p_H} output-visible attack part, "
         f"{rho - p_H - r} slack input direction(s) quotiented, "

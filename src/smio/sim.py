@@ -38,6 +38,7 @@ from .decomposition import (
     synthesize_gains,
 )
 from .model import (
+    MODES_MAX,
     AttackSignal,
     ModeHypothesis,
     SystemModel,
@@ -48,6 +49,7 @@ from .modeguard import (
     ENUM_BUDGET_DEFAULT,
     K_INF_CUTOFF_DEFAULT,
     ThresholdTracker,
+    _row_norms,
     residual_scale,
 )
 from .observer import ObserverState, radius_sequence, run_bank, stage_rows
@@ -57,6 +59,7 @@ __all__ = [
     "ScenarioConfig",
     "RunTrace",
     "HORIZON_MAX",
+    "MODES_MAX",
     "FAULT_ELIMINATED",
     "FAULT_NONFINITE",
     "check_horizon",
@@ -78,6 +81,13 @@ __all__ = [
 # peaks at about 0.13 GB resident (and takes about 4 s on a 2-core host with
 # one BLAS thread).
 HORIZON_MAX = 100_000
+
+# MODES_MAX, the largest accepted hypothesis bank, is model's: enumerate_modes
+# checks it before it builds a hypothesis.  A trace holds 8 (n + rho + 6) + 1
+# bytes per hypothesis and step (121 on the built-in plant), so a full bank
+# of such hypotheses holds about 0.12 GB per thousand steps, and building it
+# takes about 2 ms per hypothesis on a 2-core host.  The two caps bound the
+# bank and the horizon each, not their product.
 
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
@@ -462,7 +472,7 @@ def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> int | No
     # rows k-1 of xstar and r belong to step k; dhat's row 0 stays NaN
     xstar, out["dhat"][1:], r = stage_rows(dec, gains, model, out["xhat"], u, y)
     r_norm = out["r_norm"]
-    r_norm[1:] = np.linalg.norm(r, axis=1)
+    r_norm[1:] = _row_norms(r)
     del r
     tracker = ThresholdTracker(
         dyn, dec, eta_w=model.eta_w, eta_v=model.eta_v, delta_x0=model.delta_x0
@@ -549,8 +559,8 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     hi = steps if eliminated_at[cfg.true_mode] is None else eliminated_at[cfg.true_mode] - 1
     dx = view["delta_x"][1 : hi + 1, t]
     dd = view["delta_d"][1 : hi + 1, t]
-    x_err = np.linalg.norm(xs[1 : hi + 1] - view["xhat"][1 : hi + 1, t], axis=1)
-    d_err = np.linalg.norm(d_true[:hi] - view["dhat"][1 : hi + 1, t], axis=1)
+    x_err = _row_norms(xs[1 : hi + 1] - view["xhat"][1 : hi + 1, t])
+    d_err = _row_norms(d_true[:hi] - view["dhat"][1 : hi + 1, t])
     violations = int(
         np.count_nonzero(~(x_err <= dx + 1e-9 * (1.0 + dx)))
         + np.count_nonzero(~(d_err <= dd + 1e-9 * (1.0 + dd)))

@@ -2,7 +2,7 @@
 
 Everything in this file is deliberately written the slow, obvious way:
 brute-force vertex enumeration (in floats, and exactly in rationals), fixed-point Riccati iteration, symbolic
-invariant zeros, a direct (matrix_power) assembly of the stacked residual
+invariant zeros, invariant zeros with one SVD per candidate eigenvalue, a direct (matrix_power) assembly of the stacked residual
 map, a one-level-at-a-time replay of the threshold power sequence, the
 estimation pipeline stepped one observer update at a time with a record
 of each residual test, the cross-mode
@@ -163,6 +163,52 @@ def invariant_zeros_symbolic(A, G, C, H):
     roots = sympy.Poly(g, z).nroots(n=30, maxsteps=200)
     out = sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
     return out
+
+
+def invariant_zeros_per_eigenvalue(A, Gq, C, Hq):
+    """``smio.model.invariant_zeros`` with one SVD per candidate eigenvalue:
+    the same reduction (through the model's frame and rank helpers), then
+    a loop that stacks ``Abar - z I`` over the extra rank-test rows for
+    each eigenvalue ``z`` and tests that stack's smallest singular value.
+    Returns ``(zeros, note)`` in the library's form."""
+    from smio.model import _ZERO_TOL, _column_rank_deficient, _hq_frame, _rank_cutoff
+
+    A, Gq, C, Hq = (np.asarray(M, dtype=float) for M in (A, Gq, C, Hq))
+    n, rho = A.shape[0], Gq.shape[1]
+    U, sv, Vt = np.linalg.svd(Hq, full_matrices=True)
+    p_H = int(np.sum(sv > _rank_cutoff(Hq.shape, sv)))
+    _, _, _, _, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, C, Gq)
+    At = A - G1 @ (C1 / sv[:p_H, None]) if p_H else A.copy()
+    if G2.shape[1]:
+        Ug, sg, _ = np.linalg.svd(G2, full_matrices=False)
+        r = int(np.sum(sg > _rank_cutoff(G2.shape, sg)))
+        Ghat = Ug[:, :r]
+    else:
+        r = 0
+        Ghat = np.zeros((n, 0))
+    C2G = C2 @ Ghat
+    if _column_rank_deficient(C2G)[0]:
+        return None, (
+            "residual outputs do not see the state-side attack range "
+            "(C2*G2 is column-rank deficient); one-step absorption fails "
+            "and the zero computation is unavailable"
+        )
+    M2 = np.linalg.pinv(C2G)
+    Abar = (np.eye(n) - Ghat @ M2 @ C2) @ At
+    extra = np.vstack([C2, (np.eye(C2.shape[0]) - C2G @ M2) @ C2 @ At])
+    zeros = []
+    for z in np.linalg.eigvals(Abar):
+        stack = np.vstack([Abar - z * np.eye(n), extra])
+        s_st = np.linalg.svd(stack, compute_uv=False)
+        scale = max(1.0, float(s_st[0]) if s_st.size else 0.0)
+        if s_st.size < n or s_st[-1] <= _ZERO_TOL * scale:
+            zeros.append(complex(z))
+    note = (
+        f"one-step reduction: rank {p_H} output-visible attack part, "
+        f"{rho - p_H - r} slack input direction(s) quotiented, "
+        f"{len(zeros)} invariant zero(s) among {n} candidate eigenvalue(s)"
+    )
+    return zeros, note
 
 
 def stacked_blocks_direct(C2, T2, Abar, Ae, Bw_star, Bv1_star, Bv2_star,

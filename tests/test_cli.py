@@ -436,6 +436,39 @@ def test_negative_channel_count_rejected_by_name(tmp_path, capsys, modes, key, c
     assert "Traceback" not in err
 
 
+def test_bank_above_the_hypothesis_cap_rejected_by_name(tmp_path, capsys):
+    """t_s = 40, rho = 20 asks for about 1.4e11 hypotheses: exit 2 naming
+    the keys, before any is built."""
+    cfg = pair_config()
+    cfg["model"]["C"] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    cfg["model"]["D"] = [[0.0], [0.5], [0.0]]
+    cfg["model"]["H"] = [[1.0] * 40, [0.0] * 40, [0.5] * 40]
+    cfg["modes"] = {"t_a": 0, "t_s": 40, "rho": 20}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "t_a=0, t_s=40, rho=20 give 137846528820 hypotheses" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key", ["delta_x0", "eta_w"])
+def test_huge_finite_bound_reports_no_false_violation(tmp_path, key):
+    """A bound of 1e300 makes errors and residuals whose squares overflow:
+    their norms stay finite, no numpy warning is raised, and the truth is
+    inside its balls at every step."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "separable_bank.json"
+    doc = json.loads(demo.read_text(encoding="utf-8"))
+    doc["model"][key] = 1e300
+    out = tmp_path / "big.csv"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads(out.with_suffix(".summary.json").read_text())
+    assert summary["containment_violations"] == 0
+    r_norm = [float(row["r_norm"]) for row in read_rows(out) if row["r_norm"]]
+    assert all(math.isfinite(r) for r in r_norm)
+    assert max(r_norm) > 1e160  # past the square root of the float range
+
+
 def test_inconsistent_model_rejected(tmp_path, capsys):
     cfg = pair_config()
     cfg["model"]["B"] = [[1.0]]  # wrong row count

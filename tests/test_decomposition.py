@@ -16,11 +16,14 @@ from smio.decomposition import (
     SynthesisError,
     _abar,
     _m1_m2,
+    _norm2,
+    _stacked_norm2,
     decompose_mode,
     error_dynamics,
     synthesize_gains,
 )
 from smio.model import ModeHypothesis, SystemModel, enumerate_modes, invariant_zeros
+from smio import sim
 
 
 def _tiny_model(C, G, H, A=None, n=None):
@@ -380,6 +383,71 @@ def test_error_dynamics_rebuild_random():
             assert np.linalg.norm(dyn.Bev2 @ _mode.Hq) <= 1e-9 * max(
                 1.0, np.linalg.norm(_mode.Hq)
             )
+
+
+def _numpy_norm2(M):
+    """The reference 2-norm: ``np.linalg.norm(M, 2)``, 0.0 for an empty M."""
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+
+
+def _same_floats(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.tobytes() == want.tobytes()
+
+
+def test_norm2_equals_numpy_matrix_2norm():
+    """_norm2 and _stacked_norm2 give np.linalg.norm(M, 2)'s very floats:
+    random shapes up to 6 x 7, empty, all-zero (of either sign) and one-row
+    matrices, and stacks that mix zero and nonzero matrices."""
+    rng = np.random.default_rng(23)
+    for trial in range(600):
+        count = int(rng.integers(1, 8))
+        rows, cols = (int(v) for v in rng.integers(0, [7, 8]))
+        stack = rng.standard_normal((count, rows, cols)) * 10.0 ** rng.uniform(-200, 200)
+        if trial % 3 == 0:
+            stack[:1] = 0.0
+        if trial % 4 == 0:
+            stack[1::2] = -0.0
+        if trial % 5 == 0:
+            stack = stack[:, :1]
+        want = [_numpy_norm2(M) for M in stack]
+        assert _same_floats([_norm2(M) for M in stack], want), trial
+        assert _same_floats(_stacked_norm2(stack), want), trial
+
+
+def _bank_cases():
+    """(model, bank entry) pairs: the built-in bank and random plants' banks."""
+    model = sim.benchmark_model()
+    with pytest.warns(ConservativeRadiusWarning):
+        bank, excluded = sim.build_bank(model, sim.benchmark_modes(model))
+    assert not excluded
+    cases = [(model, entry) for entry in bank.values()]
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        model, entries = random_instance(rng, n_max=5, l_max=5)
+        cases += [(model, entry) for entry in entries]
+    return cases
+
+
+def test_error_dynamics_norms_equal_numpy_matrix_2norms():
+    """The nine 2-norms of ErrorDynamics, taken two stacks at a time, are
+    np.linalg.norm(M, 2) of each matrix, on the built-in bank and on
+    random plants."""
+    for model, (_mode, dec, gains, dyn) in _bank_cases():
+        At = model.A - dec.G1 @ gains.M1 @ dec.C1
+        want = {
+            "theta": _numpy_norm2(dyn.Ae),
+            "a_pred": _numpy_norm2(At),
+            "v_pred": _numpy_norm2(dec.G1 @ gains.M1 @ dec.T1),
+            "w_gain": _numpy_norm2(dyn.Bew),
+            "v_gain": _numpy_norm2(dyn.Bev1) + _numpy_norm2(dyn.Bev2),
+            "v1m1": _numpy_norm2(dec.V1 @ gains.M1),
+            "v2m2": _numpy_norm2(dec.V2 @ gains.M2),
+            "c1": _numpy_norm2(dec.C1),
+            "c2": _numpy_norm2(dec.C2),
+        }
+        for name, value in want.items():
+            assert _same_floats(getattr(dyn, name), value), (name, _mode)
 
 
 def test_rotation_of_residual_frame_is_invisible():

@@ -779,6 +779,31 @@ def test_tracker_equals_per_level_reference_across_the_zero_tail(benchmark_model
         assert ref.rows[247].any() and not any(row.any() for row in ref.rows[248:]), q
 
 
+def test_tracker_norm_lists_equal_per_level_reference(benchmark_model, benchmark_modes):
+    """The tracker's 2-norm lists, taken two stacks per block, hold the
+    reference's one-matrix-at-a-time norms and Python running sums exactly,
+    over levels 0..599, on the built-in bank and on random plants."""
+    with pytest.warns(UserWarning):
+        bank, _ = build_bank(benchmark_model, benchmark_modes)
+    cases = [(benchmark_model, dec, dyn) for _mode, dec, _gains, dyn in bank.values()]
+    for seed in range(20):
+        model, entries = random_instance(np.random.default_rng(3000 + seed), n_max=5, l_max=5)
+        cases += [(model, dec, dyn) for _mode, dec, _gains, dyn in entries]
+    for i, (model, dec, dyn) in enumerate(cases):
+        tracker = _tracker(model, dec, dyn, 0)
+        tracker.extend(600)
+        ref = _per_level(model, dec, dyn, 0)
+        for _ in range(len(tracker._row_norm)):
+            ref.advance()
+        boundary = [ref.norm2(M) for M in (ref.w_last, ref.v0_at_k1, ref.v_prev, ref.v_last)]
+        got = [tracker._nw_last, tracker._nv0_at_k1, tracker._nv_prev, tracker._nv_last]
+        assert got == boundary, i
+        assert tracker._row_norm == ref.row_norm, i
+        assert tracker._bev1_norm == [boundary[1]] + ref.bev1_norm, i
+        assert tracker._cum_w == [0.0] + ref.cum_w, i
+        assert tracker._cum_mv == [0.0, 0.0] + ref.cum_mv, i
+
+
 def test_tracker_zero_tail_calls_no_svd(benchmark_model, benchmark_modes, monkeypatch):
     with pytest.warns(UserWarning):
         bank, _ = build_bank(benchmark_model, benchmark_modes)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import invariant_zeros_symbolic
+from oracles import invariant_zeros_per_eigenvalue, invariant_zeros_symbolic
+from smio import model as model_module
 from smio.model import (
+    MODES_MAX,
     AttackSignal,
     DegenerateModeWarning,
     ModelError,
@@ -99,6 +101,27 @@ def test_negative_channel_count_rejected_by_name(t_a, t_s, rho):
     H = np.ones((2, max(t_s, 0)))
     with pytest.raises(SparsityError, match=f"^{name}={count} must be a nonnegative"):
         enumerate_modes(t_a, t_s, rho, G, H)
+
+
+def test_bank_above_the_cap_rejected_before_enumerating(monkeypatch):
+    """t_s = 40, rho = 20 asks for about 1.4e11 hypotheses: refused by
+    name before a single combination is drawn."""
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(model_module.itertools, "combinations", no_enumeration)
+    with pytest.raises(SparsityError, match=r"^t_a=0, t_s=40, rho=20 give 137846528820 hypotheses"):
+        enumerate_modes(0, 40, 20, np.ones((2, 0)), np.ones((3, 40)))
+    assert math.comb(40, 20) > MODES_MAX
+
+
+def test_bank_at_the_cap_is_enumerated(monkeypatch):
+    monkeypatch.setattr(model_module, "MODES_MAX", 6)
+    G, H = np.ones((2, 1)), np.ones((2, 3))
+    assert len(enumerate_modes(1, 3, 2, G, H)) == 6
+    with pytest.raises(SparsityError, match=r"^t_a=1, t_s=4, rho=2 give 10 hypotheses, more than the 6"):
+        enumerate_modes(1, 4, 2, G, np.ones((2, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,6 +248,38 @@ def test_invariant_zeros_match_symbolic_oracle(n, l, rho, zero_H):
             )
         checked += 1
     assert checked == 5, f"only {checked} comparable draws out of {attempts}"
+
+
+def _zeros_bytes(zeros):
+    return None if zeros is None else np.array(zeros, dtype=complex).tobytes()
+
+
+def test_batched_invariant_zeros_equal_the_per_eigenvalue_loop():
+    """One batched SVD over the candidate eigenvalues gives the loop's
+    zeros and note exactly, on random plants with real and complex
+    eigenvalues, with and without zeros, and on untestable structures."""
+    rng = np.random.default_rng(77)
+    seen = {"complex_zero": 0, "real_zero": 0, "none": 0}
+    for trial in range(400):
+        n = int(rng.integers(1, 6))
+        l = int(rng.integers(1, 5))
+        rho = int(rng.integers(0, 4))
+        if trial % 2:
+            A, Gq, C, Hq = _random_quadruple(rng, n, l, rho, zero_H=trial % 4 == 1)
+        else:
+            A, Gq, C, Hq = (rng.normal(size=shape) for shape in ((n, n), (n, rho), (l, n), (l, rho)))
+        got = invariant_zeros(A, Gq, C, Hq)
+        want = invariant_zeros_per_eigenvalue(A, Gq, C, Hq)
+        assert got[1] == want[1], trial
+        assert _zeros_bytes(got[0]) == _zeros_bytes(want[0]), trial
+        zeros = got[0]
+        if zeros is None:
+            seen["none"] += 1
+            continue
+        seen["complex_zero"] += any(z.imag for z in zeros)
+        seen["real_zero"] += any(not z.imag for z in zeros)
+    for key in seen:
+        assert seen[key] >= 5, seen
 
 
 def test_square_channel_case_has_true_finite_zeros():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from oracles import per_mode_xhat, stepwise_pipeline, stepwise_simulate
 from smio import sim
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import AttackSignal, SystemModel, enumerate_modes
-from smio.modeguard import ThresholdTracker, residual_scale
+from smio.modeguard import ThresholdTracker, _row_norms, residual_scale
 from smio.observer import _stages, init_observer, run_bank, step
 from smio.sim import (
     FAULT_ELIMINATED,
@@ -31,6 +32,49 @@ from smio.sim import (
     sinusoid_attack,
 )
 from smio.sim import benchmark_model as sim_benchmark_model
+
+
+# ---------------------------------------------------------------- row norms
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_row_norms_recompute_only_rows_whose_squares_overflow():
+    """Rows whose plain norm is finite keep np.linalg.norm's floats; a
+    finite row whose squares overflow gets its scaled norm (within 4 ulp of
+    math.hypot), which is inf only past the float range; rows holding inf
+    or NaN keep inf and NaN."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((60, 4)) * 10.0 ** rng.uniform(-300, 150, size=(60, 1))
+    X[3] = [1e200, -1e200, 3e199, 0.0]
+    X[7] = [-2e300, 0.0, 0.0, 5e-300]
+    X[9] = [1.7e308, 1.7e308, 0.0, 0.0]
+    X[11] = [np.inf, 1.0, 0.0, 0.0]
+    X[12] = [np.nan, 1e200, 0.0, 0.0]
+    got = _row_norms(X)
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(X, axis=1)
+    big = [3, 7, 9]
+    keep = np.ones(len(X), dtype=bool)
+    keep[big] = False
+    assert got[keep].tobytes() == plain[keep].tobytes()
+    assert np.isinf(plain[big]).all()
+    for i in (3, 7):
+        assert got[i] == pytest.approx(math.hypot(*X[i]), rel=4 * 2.0**-52)
+    assert got[9] == got[11] == np.inf and np.isnan(got[12])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [1.0, 1e200])
+def test_residual_scale_of_overflowing_terms_is_finite(benchmark_model, benchmark_modes, size):
+    """residual_scale keeps its floats where no square overflows, and stays
+    finite where one does."""
+    dec = decompose_mode(benchmark_model, benchmark_modes[0])
+    x, u, y = np.full(5, size), np.zeros(1), np.linspace(-size, size, 5)
+    scale = residual_scale(dec, x, u, y)
+    if size == 1.0:
+        terms = (dec.T2 @ y, dec.C2 @ x, dec.D2 @ u)
+        assert scale == float(sum(np.linalg.norm(t) for t in terms))
+    assert math.isfinite(scale) and scale >= size
 
 
 # ------------------------------------------------------------ sample_bounded
