@@ -218,11 +218,12 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 class ThresholdTracker:
     """Incrementally maintained residual-threshold state for one mode.
 
-    The tracker keeps the row family C2*Abar*Ae^j, the 2-norms of each row
-    and of its products with Bew, Bev1 and Mv = Bev1 + Ae*Bev2, running
-    sums of the Bew and Mv product norms, and (for j up to
-    ``k_inf_cutoff``) the cached blocks needed to assemble the stacked
-    residual map.  None of this depends on the measurements, so levels are
+    The tracker keeps the 2-norms of the rows C2*Abar*Ae^j and of their
+    products with Bew, Bev1 and Mv = Bev1 + Ae*Bev2, running sums of the Bew
+    and Mv product norms, and the rows themselves for j up to
+    ``k_inf_cutoff``, in one array grown a block at a time, from which
+    :meth:`stacked` forms the products it needs.  None of this depends on
+    the measurements, so levels are
     computed ahead of the current level ``k`` in blocks whose size doubles
     up to a fixed cap.  Within a block only the powers are stepped one
     level at a time; each family's products are one stacked matmul over
@@ -234,7 +235,8 @@ class ThresholdTracker:
     the built-in plant from level 248 on); once a block ends in an all-zero
     row, every later level is zero too, because ``0 @ Ae`` is exactly 0 for
     a finite ``Ae``, so later blocks only append zero norms and repeat the
-    running totals, with no product and no 2-norm call.
+    running totals (and zero rows up to the cutoff), with no product and no
+    2-norm call.
 
     :meth:`advance` gives one step's thresholds, with the enumerated one
     up to ``k_inf_cutoff``.  :meth:`walk` runs a mode's whole residual
@@ -289,10 +291,7 @@ class ThresholdTracker:
         # level 0, so entry k-1 of each norm list is step k's term
         self._block = 1  # size of the next block of levels
         self._last_row: np.ndarray | None = None
-        self._rows: list[np.ndarray] = []
-        self._wprod: list[np.ndarray] = []
-        self._bprod: list[np.ndarray] = []
-        self._mvprod: list[np.ndarray] = []
+        self._rows = np.empty((0,) + self._C2A.shape)  # levels j <= k_inf_cutoff
         self._row_norm: list[float] = []
         self._cum_w: list[float] = [0.0]
         self._cum_mv: list[float] = [0.0, 0.0]
@@ -311,9 +310,9 @@ class ThresholdTracker:
         j0 = len(self._row_norm)
         size = self._block
         self._block = min(2 * size, self._BLOCK_CAP)
-        # the levels j <= k_inf_cutoff also feed stacked(): their own row
-        # arrays, and copies of their products, so that no kept level pins
-        # its whole block
+        # the levels j <= k_inf_cutoff also feed stacked(), which forms their
+        # products from the kept rows: one array, grown by a copy of the
+        # block's first rows, so that no block stays pinned
         keep = min(max(self.k_inf_cutoff + 1 - j0, 0), size)
         if self._zero_tail:
             self._zero_block(size, keep)
@@ -323,10 +322,8 @@ class ThresholdTracker:
         dot, Ae = np.dot, self._Ae
         rows = np.empty((size,) + self._C2A.shape)
         row = rows[0] = self._C2A if j0 == 0 else dot(self._last_row, Ae)
-        levels = [row]
         for i in range(1, size):
             row = rows[i] = dot(row, Ae)
-            levels.append(row)
         self._last_row = row
         # an all-zero row has all-zero successors and products only when
         # the matrices it meets are finite (0 * inf is NaN)
@@ -346,26 +343,20 @@ class ThresholdTracker:
             # seeded with the previous total, cumsum adds left to right,
             # so every running sum is the float a Python loop would give
             cum += np.cumsum(np.concatenate(([cum[-1]], norms)))[1:].tolist()
-        self._rows += levels[:keep]
-        for kept, block in ((self._wprod, wprod), (self._bprod, bprod), (self._mvprod, mvprod)):
-            kept += [level.copy() for level in block[:keep]]
+        if keep:
+            self._rows = np.concatenate((self._rows, rows[:keep]))
 
     def _zero_block(self, size: int, keep: int) -> None:
         """The next ``size`` levels after an all-zero row: every row and
         product is zero, so each norm is 0.0 and each running sum keeps its
-        total, the floats the stepped block would give."""
+        total, the floats the stepped block would give; the first ``keep``
+        levels add zero rows."""
         self._row_norm += [0.0] * size
         self._bev1_norm += [0.0] * size
         self._cum_w += [self._cum_w[-1]] * size
         self._cum_mv += [self._cum_mv[-1]] * size
-        r = self._C2A.shape[0]
-        for kept, cols in (
-            (self._rows, self._n),
-            (self._wprod, self._Bew.shape[1]),
-            (self._bprod, self._Bev1.shape[1]),
-            (self._mvprod, self._Mv.shape[1]),
-        ):
-            kept += [np.zeros((r, cols)) for _ in range(keep)]
+        if keep:
+            self._rows = np.concatenate((self._rows, np.zeros((keep,) + self._C2A.shape)))
 
     def advance(self) -> tuple[float | None, float, float]:
         """Move to the next step and return (delta_inf, delta_tri, delta_hat)."""
@@ -446,15 +437,13 @@ class ThresholdTracker:
                 f"stacked map not retained past k_inf_cutoff={self.k_inf_cutoff} (k={k})"
             )
         if k == 1:
-            blocks = [self._rows[0], self._w_last, self._v0_at_k1, self._v_last]
+            blocks = (self._rows[0], self._w_last, self._v0_at_k1, self._v_last)
         else:
-            blocks = [self._rows[k - 1]]
-            blocks.extend(self._wprod[k - 2 - i] for i in range(k - 1))
-            blocks.append(self._w_last)
-            blocks.append(self._bprod[k - 2])
-            blocks.extend(self._mvprod[k - 2 - i] for i in range(1, k - 1))
-            blocks.append(self._v_prev)
-            blocks.append(self._v_last)
+            # levels k-2 down to 0; one stacked matmul per family multiplies
+            # level by level, the floats of row @ B
+            older = self._rows[k - 2 :: -1]
+            w, b, mv = older @ self._Bew, older[:1] @ self._Bev1, older[1:] @ self._Mv
+            blocks = (self._rows[k - 1], *w, self._w_last, *b, *mv, self._v_prev, self._v_last)
         n, l = self._n, self._l
         A = np.concatenate(blocks, axis=1)
         bounds = np.repeat((self.delta_x0, self.eta_w, self.eta_v), (n, n * k, l * (k + 1)))

@@ -25,7 +25,6 @@ bulk: all directions of one kind in one call, then all radii in one call
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -60,6 +59,7 @@ __all__ = [
     "RunTrace",
     "HORIZON_MAX",
     "MODES_MAX",
+    "TRACE_BYTES_MAX",
     "FAULT_ELIMINATED",
     "FAULT_NONFINITE",
     "check_horizon",
@@ -86,8 +86,12 @@ HORIZON_MAX = 100_000
 # checks it before it builds a hypothesis.  A trace holds 8 (n + rho + 6) + 1
 # bytes per hypothesis and step (121 on the built-in plant), so a full bank
 # of such hypotheses holds about 0.12 GB per thousand steps, and building it
-# takes about 2 ms per hypothesis on a 2-core host.  The two caps bound the
-# bank and the horizon each, not their product.
+# takes about 2 ms per hypothesis on a 2-core host.  Those two caps bound the
+# bank and the horizon each; TRACE_BYTES_MAX bounds their product: a config
+# whose trace arrays would exceed it is refused before any is allocated.  It
+# admits ``smio benchmark`` at HORIZON_MAX (about 60 MB) and a full bank of
+# such hypotheses at a horizon of 1000 (about 124 MB).
+TRACE_BYTES_MAX = 2**30
 
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
@@ -128,8 +132,9 @@ def _opt_array(x, name, shape=None):
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything one estimation run depends on.  Every array must be
-    finite, ``horizon`` at most :data:`HORIZON_MAX`, and ``noise_seed``
-    nonnegative."""
+    finite, ``horizon`` at most :data:`HORIZON_MAX`, the trace arrays of
+    every hypothesis over the horizon at most :data:`TRACE_BYTES_MAX` bytes,
+    and ``noise_seed`` nonnegative."""
 
     model: SystemModel
     modes: tuple[ModeHypothesis, ...]
@@ -158,6 +163,15 @@ class ScenarioConfig:
                 f"true mode {self.true_mode} is not in the hypothesis set {sorted(ids)}"
             )
         n, m = self.model.n, self.model.m
+        # run_pipeline's trace: 8 (n + rho + 6) + 1 bytes per hypothesis and step
+        rho = self.mode_by_id(self.true_mode).rho
+        size = len(self.modes) * (self.horizon + 1) * (8 * (n + rho + 6) + 1)
+        if size > TRACE_BYTES_MAX:
+            raise SimulationError(
+                f"{len(self.modes)} hypotheses over a horizon of {self.horizon} steps need "
+                f"{size / 2**30:.1f} GiB of trace arrays, more than the {TRACE_BYTES_MAX} "
+                "bytes a run may hold; lower the horizon or the number of hypotheses"
+            )
         object.__setattr__(
             self,
             "known_input",
@@ -348,19 +362,15 @@ def _to_ball(g: np.ndarray, eta: float, r: np.ndarray) -> np.ndarray:
 def sample_bounded(dim: int, eta: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the closed 2-norm ball of radius eta: one
     ``standard_normal(dim)``, then one ``random()`` for the radius, drawn
-    for a zero radius or a zero direction too (either gives +0.0); a ball of
-    dimension 0 draws nothing."""
+    for a zero radius or a zero direction too (either gives +0.0), taken to
+    the ball by :func:`_to_ball`; a ball of dimension 0 draws nothing."""
     eta = float(eta)
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     g = rng.standard_normal(int(dim))
-    if not g.size:
-        return g
-    nrm = math.sqrt(g.dot(g))  # np.linalg.norm's arithmetic on a vector
-    r = rng.random()
-    if eta == 0.0 or nrm == 0.0:
-        return np.zeros(g.size)
-    return (eta * r ** (1.0 / g.size) / nrm) * g
+    if g.size:
+        _to_ball(g[None], eta, rng.random(1))
+    return g
 
 
 def _noise(model: SystemModel, N: int, rng: np.random.Generator):

@@ -451,6 +451,31 @@ def test_bank_above_the_hypothesis_cap_rejected_by_name(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_trace_above_the_size_cap_rejected_before_any_allocation(tmp_path, capsys, monkeypatch):
+    """252 hypotheses (t_s = 10, rho = 5) over 100 000 steps would need more
+    than 2 GB of trace arrays: exit 2 naming the count and the horizon,
+    before any trace array is allocated."""
+    cfg = pair_config()
+    cfg["model"]["C"] = [[1.0, 0.0], [0.0, 1.0]] * 5
+    cfg["model"]["D"] = [[0.0], [0.5]] * 5
+    cfg["model"]["H"] = np.eye(10).tolist()
+    cfg["modes"] = {"t_a": 0, "t_s": 10, "rho": 5}
+    cfg["scenario"]["horizon"] = HORIZON_MAX
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace array was allocated")
+
+    monkeypatch.setattr(np, "full", refuse)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"252 hypotheses over a horizon of {HORIZON_MAX} steps" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+    # the cap admits the built-in bank at the largest horizon
+    assert benchmark_scenario(horizon=HORIZON_MAX).horizon == HORIZON_MAX
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key", ["delta_x0", "eta_w"])
 def test_huge_finite_bound_reports_no_false_violation(tmp_path, key):

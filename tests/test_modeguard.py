@@ -889,18 +889,20 @@ def test_walk_writes_the_floats_of_advance_step_by_step(monkeypatch, cutoff, cap
             assert priced == [k for k in (cleared, elim) if k is not None], (cutoff, cap, elim)
 
 
-def test_tracker_kept_levels_pin_no_whole_block():
-    """The levels kept for stacked() hold their own rows only, not the block
-    of levels they were computed in."""
+def test_tracker_keeps_one_array_of_rows_only():
+    """Past the cutoff the tracker keeps the rows of levels 0..cutoff, r by n
+    each, in one array that owns its memory, and no product arrays."""
     model, bank = random_instance(np.random.default_rng(91))
     _mode, dec, _gains, dyn = bank[0]
     cutoff = ThresholdTracker._BLOCK_CAP + 45
     tracker = _tracker(model, dec, dyn, cutoff)
     tracker.extend(4 * ThresholdTracker._BLOCK_CAP)
-    kept = [*tracker._rows, *tracker._wprod, *tracker._bprod, *tracker._mvprod]
-    assert len(kept) == 4 * (cutoff + 1)
-    held = {id(b): b.nbytes for b in (m if m.base is None else m.base for m in kept)}
-    assert sum(held.values()) == sum(m.nbytes for m in kept)
+    rows = tracker._rows
+    assert rows.shape == (cutoff + 1, dec.C2.shape[0], model.n)
+    assert rows.base is None and rows.flags.owndata
+    held = vars(tracker)
+    assert [name for name, v in held.items() if isinstance(v, np.ndarray) and v.ndim == 3] == ["_rows"]
+    assert not any(isinstance(x, np.ndarray) for v in held.values() if isinstance(v, list) for x in v)
 
 
 @pytest.mark.parametrize("cutoff", [0, ThresholdTracker._BLOCK_CAP + 1, 1000])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from oracles import per_mode_xhat, stepwise_pipeline, stepwise_simulate
+from oracles import _sample_bounded_stepwise, per_mode_xhat, stepwise_pipeline, stepwise_simulate
 from smio import sim
 from smio.decomposition import decompose_mode, error_dynamics, synthesize_gains
 from smio.model import AttackSignal, SystemModel, enumerate_modes
@@ -108,6 +108,19 @@ def test_sample_bounded_deterministic():
     a = [sample_bounded(3, 0.5, np.random.default_rng(42)) for _ in range(1)]
     b = [sample_bounded(3, 0.5, np.random.default_rng(42)) for _ in range(1)]
     np.testing.assert_array_equal(a[0], b[0])
+
+
+def test_sample_bounded_equals_the_stepwise_draw():
+    """One row through _to_ball gives the bytes, and leaves the stream, of
+    the one-row reference draw."""
+    for dim in range(10):
+        for eta in (0.0, 1e300):
+            ours, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+            for _ in range(20):
+                a, b = sample_bounded(dim, eta, ours), _sample_bounded_stepwise(dim, eta, ref)
+                assert a.shape == b.shape == (dim,)
+                assert a.tobytes() == b.tobytes(), (dim, eta)
+            assert ours.random() == ref.random()
 
 
 def _noise_shape(n, l, eta_w, eta_v):
