@@ -13,12 +13,20 @@ matrices of the estimation-error recursion.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ModeHypothesis, SystemModel, _column_rank_deficient, _hq_frame, _rank_cutoff
+from .model import (
+    ModeHypothesis,
+    SystemModel,
+    _column_rank_deficient,
+    _hq_frame,
+    _hq_svd,
+)
 
 __all__ = [
     "ModeDecomposition",
@@ -86,12 +94,21 @@ def _stacked_norm2(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(M)))) if M.size else 0.0
+def _spectral_radii(stack: np.ndarray) -> list[float]:
+    """The spectral radius of each matrix of a stack, from one LAPACK call
+    (0.0 for an empty matrix).  A stacked call returns a complex array when
+    any matrix has a complex pair; the modulus of a real eigenvalue held as
+    complex is its absolute value exactly, so each radius is the float of
+    the matrix's own call."""
+    if not stack.shape[-1]:
+        return [0.0] * len(stack)
+    return np.abs(np.linalg.eigvals(stack)).max(axis=1).tolist()
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+    # a C-contiguous copy: a matrix of a group's stack would otherwise pin
+    # the stack
+    arr = np.array(arr, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -183,7 +200,101 @@ class ErrorDynamics:
 
     @property
     def spectral_radius(self) -> float:
-        return _spectral_radius(self.Ae)
+        return _spectral_radii(self.Ae[None])[0]
+
+
+# The stages below take a group of hypotheses that share their matrix
+# shapes (and the rank p_H of Hq) through stacked LAPACK and matmul calls.  A
+# gufunc gives each matrix of a stack the floats of a call of its own, and
+# each stacked operand is laid out per matrix as the single hypothesis's
+# array is (a fresh array, or the same view of one), so every hypothesis
+# gets the floats it would get alone.  A group is a namespace of stacks
+# whose first axis runs over its members, with ``idx``, each member's
+# position in the caller's list; a stage returns each member's result or
+# exception by position, and the group of the members that got through.
+# The single-hypothesis functions are the group-of-one case.
+
+_FRAME = ("T1", "T2", "V1", "V2", "C1", "C2", "D1", "D2", "G1", "G2")
+
+
+def _take(group: SimpleNamespace, keep: np.ndarray) -> SimpleNamespace:
+    """The members ``keep`` (a boolean mask) of a group."""
+    return SimpleNamespace(
+        **{name: v if name == "p_H" else v[keep] for name, v in vars(group).items()}
+    )
+
+
+def _one(dec: ModeDecomposition, gains: ObserverGains | None = None) -> SimpleNamespace:
+    """A group of one from a decomposition (and its gains)."""
+    group = SimpleNamespace(idx=np.zeros(1, dtype=int), p_H=dec.p_H, sv=np.diag(dec.Sigma)[None])
+    for name in _FRAME:
+        setattr(group, name, getattr(dec, name)[None])
+    if gains is not None:
+        group.M1, group.M2, group.Lt = gains.M1[None], gains.M2[None], gains.Ltilde[None]
+    return group
+
+
+def _signs(M: np.ndarray, axis: int) -> np.ndarray:
+    """-1.0 where the largest-magnitude entry (the first, on a tie) of a
+    column (``axis`` 1) or row (``axis`` 2) of each matrix is negative,
+    else 1.0; multiplying by it negates exactly as ``-x`` does."""
+    k, rows, cols = M.shape
+    top = np.abs(M).argmax(axis=axis)
+    if axis == 1:
+        entry = M[np.arange(k)[:, None], top, np.arange(cols)]
+    else:
+        entry = M[np.arange(k)[:, None], np.arange(rows), top]
+    return np.where(entry < 0, -1.0, 1.0)
+
+
+def _decompose(model: SystemModel, group: SimpleNamespace):
+    """:func:`decompose_mode` for a group with one ``p_H``, given the
+    attack matrices ``Gq`` and the full SVDs ``U, sv, Vt`` of the ``Hq``
+    (unchanged) with their rank cutoffs (:func:`~smio.model._hq_svd`).
+    Returns ``({position: decomposition or error}, frames)``, ``frames``
+    the group of the decomposed members with the stacked fields of
+    :class:`ModeDecomposition` (``sv`` for ``Sigma``'s diagonals)."""
+    p_H, sv, cutoff = group.p_H, group.sv, group.cutoff
+    out: dict[int, object] = {}
+    near = (cutoff / 1e3 < sv) & (sv <= cutoff * 1e3)
+    ambiguous = near.any(axis=1)
+    if any(ambiguous.tolist()):
+        for i in np.flatnonzero(ambiguous).tolist():
+            out[int(group.idx[i])] = RankAmbiguityError(
+                "numerical rank of Hq is ambiguous: singular value(s) "
+                + ", ".join(f"{s:.6e}" for s in sv[i][near[i]])
+                + f" lie within a factor 1e3 of the cutoff {cutoff[i, 0]:.6e}"
+            )
+        group = _take(group, ~ambiguous)
+    U, Vt = group.U, group.Vt
+
+    # deterministic signs: dominant entry of each output direction positive
+    # (its right singular vector flipped along), then of each state-only
+    # attack direction
+    vsign = np.ones(Vt.shape[:2])
+    if U.shape[1]:
+        usign = _signs(U, 1)
+        U = U * usign[:, None, :]
+        vsign[:, :p_H] = usign[:, :p_H]
+    if Vt.shape[1] > p_H:
+        vsign[:, p_H:] = _signs(Vt[:, p_H:], 2)
+    Vt = Vt * vsign[:, :, None]
+
+    T1, T2, V1, V2, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, model.C, group.Gq)
+    # the frames stored C-contiguous, as ModeDecomposition stores them
+    frames = SimpleNamespace(
+        idx=group.idx, p_H=p_H, sv=np.ascontiguousarray(group.sv[:, :p_H]),
+        T1=np.ascontiguousarray(T1), T2=np.ascontiguousarray(T2),
+        V1=np.ascontiguousarray(V1), V2=np.ascontiguousarray(V2),
+        C1=C1, C2=C2, D1=T1 @ model.D, D2=T2 @ model.D, G1=G1, G2=G2,
+    )
+    for i, q in enumerate(frames.idx.tolist()):
+        out[q] = ModeDecomposition(
+            p_H=p_H,
+            Sigma=np.diag(frames.sv[i]),
+            **{name: getattr(frames, name)[i] for name in _FRAME},
+        )
+    return out, frames
 
 
 def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecomposition:
@@ -196,101 +307,155 @@ def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecompositio
     1e3 of the rank cutoff — a silently misidentified rank would corrupt
     every downstream matrix.
     """
-    U, sv, Vt = np.linalg.svd(mode.Hq, full_matrices=True)
-    cutoff = _rank_cutoff(mode.Hq.shape, sv)
-    ambiguous = [s for s in sv if cutoff / 1e3 < s <= cutoff * 1e3]
-    if ambiguous:
-        raise RankAmbiguityError(
-            "numerical rank of Hq is ambiguous: singular value(s) "
-            + ", ".join(f"{s:.6e}" for s in ambiguous)
-            + f" lie within a factor 1e3 of the cutoff {cutoff:.6e}"
-        )
-    p_H = int(np.sum(sv > cutoff))
-
-    # deterministic signs: dominant entry of each output direction positive
-    for i in range(U.shape[1]):
-        col = U[:, i]
-        if col[np.argmax(np.abs(col))] < 0:
-            U[:, i] = -col
-            if i < p_H:
-                Vt[i, :] = -Vt[i, :]
-    for i in range(p_H, Vt.shape[0]):
-        row = Vt[i, :]
-        if row.size and row[np.argmax(np.abs(row))] < 0:
-            Vt[i, :] = -row
-
-    T1, T2, V1, V2, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, model.C, mode.Gq)
-    return ModeDecomposition(
-        p_H=p_H,
-        T1=T1,
-        T2=T2,
-        Sigma=np.diag(sv[:p_H]),
-        V1=V1,
-        V2=V2,
-        C1=C1,
-        C2=C2,
-        D1=T1 @ model.D,
-        D2=T2 @ model.D,
-        G1=G1,
-        G2=G2,
+    U, sv, Vt, cutoff, ranks = _hq_svd(mode.Hq[None])
+    group = SimpleNamespace(
+        idx=np.zeros(1, dtype=int), p_H=ranks[0], Gq=mode.Gq[None], U=U, sv=sv, Vt=Vt, cutoff=cutoff
     )
+    return _raise_or_return(_decompose(model, group)[0][0])
+
+
+def _raise_or_return(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _abar(
-    dec: ModeDecomposition, M1: np.ndarray, M2: np.ndarray, model: SystemModel
+    dec, M1: np.ndarray, M2: np.ndarray, model: SystemModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(Phi, At, Abar)``: the state-side inversion ``Phi = I - G2 M2 C2``,
     the prediction map ``At = A - G1 M1 C1`` and the pre-correction error
-    map ``Abar = Phi At``."""
+    map ``Abar = Phi At``, of a decomposition or of a group's stacks."""
     Phi = np.eye(model.n) - dec.G2 @ M2 @ dec.C2
     At = model.A - dec.G1 @ M1 @ dec.C1
     return Phi, At, Phi @ At
 
 
-def _m1_m2(dec: ModeDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    diag = np.diag(dec.Sigma) if dec.p_H else np.zeros(0)
-    M1 = np.diag(1.0 / diag) if dec.p_H else np.zeros((0, 0))
-    C2G2 = dec.C2 @ dec.G2
-    deficient, sv = _column_rank_deficient(C2G2)
-    if deficient:
-        raise InfeasibleModeError(
-            "C2*G2 is column-rank deficient "
-            f"(shape {C2G2.shape}, singular values {np.array2string(sv, precision=3)}); "
-            "the state-side attack component cannot be recovered from the residual outputs"
-        )
-    M2 = np.linalg.pinv(C2G2)
-    return M1, M2
-
-
-def _filter_dare(Abar: np.ndarray, C2: np.ndarray) -> np.ndarray:
+def _filter_dare(Abar: np.ndarray, C2: np.ndarray) -> list:
     """Stabilizing solution of the filter Riccati equation with identity weights,
     ``X = Abar X Abar^T - Abar X C2^T (I + C2 X C2^T)^-1 C2 X Abar^T + I``,
-    by the structure-preserving doubling algorithm (Anderson 1978; Chu, Fan
-    & Lin 2005).  Each step squares the closed-loop map, so a detectable
-    pair converges quadratically; one that is not makes ``H`` diverge,
-    which raises :class:`SynthesisError`.
+    for each pair of the stacks ``Abar``, ``C2``, by the structure-preserving
+    doubling algorithm (Anderson 1978; Chu, Fan & Lin 2005).  Each step
+    squares the closed-loop map, so a detectable pair converges
+    quadratically; one that is not makes ``H`` diverge.  Returns each
+    pair's solution or :class:`SynthesisError`.  A pair leaves the stack at
+    the step that decides it; a singular solve in the stacked call is
+    retaken pair by pair, so only the pairs it concerns fail.
     """
-    n = Abar.shape[0]
+    k, n = Abar.shape[:2]
     I = np.eye(n)
-    A, G, H = Abar.T, C2.T @ C2, I
+    out: list = [None] * k
+    live = np.arange(k)
+    A, G, H = Abar.swapaxes(1, 2), C2.swapaxes(1, 2) @ C2, I
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
+            lhs, rhs = I + G @ H, np.concatenate((A, G), axis=2)
             try:
-                W = np.linalg.solve(I + G @ H, np.concatenate((A, G), axis=1))
-            except np.linalg.LinAlgError as exc:
-                raise SynthesisError(f"Riccati synthesis failed: {exc}") from exc
-            WA, WG = W[:, :n], W[:, n:]
-            H_next = H + A.T @ H @ WA
-            H_next = 0.5 * (H_next + H_next.T)
-            G = G + A @ WG @ A.T
+                W = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError:
+                W = np.empty_like(rhs)
+                ok = np.ones(live.size, dtype=bool)
+                for i in range(live.size):
+                    try:
+                        W[i] = np.linalg.solve(lhs[i], rhs[i])
+                    except np.linalg.LinAlgError as exc:
+                        error = SynthesisError(f"Riccati synthesis failed: {exc}")
+                        error.__cause__ = exc
+                        out[live[i]], ok[i] = error, False
+                H = np.broadcast_to(H, G.shape)
+                live, A, G, H, W = live[ok], A[ok], G[ok], H[ok], W[ok]
+                if not live.size:
+                    return out
+            WA, WG = W[..., :n], W[..., n:]
+            H_next = H + A.swapaxes(1, 2) @ H @ WA
+            H_next = 0.5 * (H_next + H_next.swapaxes(1, 2))
+            G = G + A @ WG @ A.swapaxes(1, 2)
             A = A @ WA
-            if not np.isfinite(H_next).all():
-                raise SynthesisError("Riccati synthesis failed: the doubling iteration diverged")
-            change = np.max(np.abs(H_next - H))
+            change = np.abs(H_next - H).max(axis=(1, 2)).tolist()
             H = H_next
-            if change <= 1e-15 * max(1.0, np.max(np.abs(H))):
-                return H
-    raise SynthesisError("Riccati synthesis failed: no convergence in 100 doubling steps")
+            # the largest magnitude is inf or NaN exactly when H is not finite
+            top = np.abs(H).max(axis=(1, 2)).tolist()
+            finite = [math.isfinite(h) for h in top]
+            done = [not f or c <= 1e-15 * max(1.0, h) for f, c, h in zip(finite, change, top)]
+            if any(done):
+                for i in [i for i, d in enumerate(done) if d]:
+                    out[live[i]] = H[i] if finite[i] else SynthesisError(
+                        "Riccati synthesis failed: the doubling iteration diverged"
+                    )
+                if all(done):
+                    return out
+                keep = [i for i, d in enumerate(done) if not d]
+                live, A, G, H = live[keep], A[keep], G[keep], H[keep]
+    for i in live.tolist():
+        out[i] = SynthesisError("Riccati synthesis failed: no convergence in 100 doubling steps")
+    return out
+
+
+def _gains(model: SystemModel, group: SimpleNamespace, override: np.ndarray | None = None):
+    """:func:`synthesize_gains` for a group of decompositions (``override``
+    a stack of one gain per member).  Returns ``({position: gains or
+    error}, group)``, the group of the members that got gains extended by
+    the stacks ``M1``, ``M2``, ``Lt`` and :func:`_abar`'s ``Phi``, ``At``,
+    ``Abar``."""
+    out: dict[int, object] = {}
+    k, p_H = group.sv.shape
+    M1 = np.zeros((k, p_H, p_H))
+    M1.reshape(k, -1)[:, :: p_H + 1] = 1.0 / group.sv
+    C2G2 = group.C2 @ group.G2
+    deficient, sv = _column_rank_deficient(C2G2)
+    if any(deficient.tolist()):
+        for i in np.flatnonzero(deficient).tolist():
+            out[int(group.idx[i])] = InfeasibleModeError(
+                "C2*G2 is column-rank deficient "
+                f"(shape {C2G2.shape[1:]}, singular values {np.array2string(sv[i], precision=3)}); "
+                "the state-side attack component cannot be recovered from the residual outputs"
+            )
+        group, M1, C2G2 = _take(group, ~deficient), M1[~deficient], C2G2[~deficient]
+        override = None if override is None else override[~deficient]
+        if not group.idx.size:
+            return out, group
+    group.M1, group.M2 = M1, np.linalg.pinv(C2G2)
+    group.Phi, group.At, group.Abar = _abar(group, group.M1, group.M2, model)
+    n, rdim = model.n, group.C2.shape[1]
+
+    if override is not None:
+        if override.shape[1:] != (n, rdim):
+            error = f"override gain must have shape ({n}, {rdim}); got {override.shape[1:]}"
+            out.update((q, SynthesisError(error)) for q in group.idx.tolist())
+            return out, _take(group, np.zeros(group.idx.size, dtype=bool))
+        group.Lt = override
+        failure = "override gain rejected: closed-loop spectral radius {:.6f} >= 1"
+    elif rdim == 0:
+        # no residual outputs to correct with; the open map must already be stable
+        group.Lt = np.zeros((group.idx.size, n, 0))
+        failure = (
+            "mode has no attack-free output direction and its open error map "
+            "is unstable (spectral radius {:.6f})"
+        )
+    else:
+        P = _filter_dare(group.Abar, group.C2)
+        failed = [isinstance(Pi, SynthesisError) for Pi in P]
+        if any(failed):
+            for i in [i for i, bad in enumerate(failed) if bad]:
+                out[int(group.idx[i])] = P[i]
+            group = _take(group, ~np.array(failed))
+            if not group.idx.size:
+                return out, group
+            P = [Pi for Pi, bad in zip(P, failed) if not bad]
+        P = np.array(P)
+        C2T = group.C2.swapaxes(1, 2)
+        S = group.C2 @ P @ C2T + np.eye(rdim)
+        group.Lt = P @ C2T @ np.linalg.inv(S)
+        failure = "Riccati gain failed to stabilize: spectral radius {:.6f} >= 1"
+    radius = _spectral_radii((np.eye(n) - group.Lt @ group.C2) @ group.Abar)
+    unstable = [r >= 1.0 for r in radius]
+    if any(unstable):
+        for i in [i for i, u in enumerate(unstable) if u]:
+            out[int(group.idx[i])] = SynthesisError(failure.format(radius[i]), radius=radius[i])
+        group = _take(group, ~np.array(unstable))
+    for i, q in enumerate(group.idx.tolist()):
+        out[q] = ObserverGains(M1=group.M1[i], M2=group.M2[i], Ltilde=group.Lt[i])
+    return out, group
 
 
 def synthesize_gains(
@@ -307,34 +472,65 @@ def synthesize_gains(
     ``override`` gain is accepted only after its closed-loop spectral radius
     checks out, and rejected with the computed radius otherwise.
     """
-    M1, M2 = _m1_m2(dec)
-    Abar = _abar(dec, M1, M2, model)[2]
-    n = model.n
-    rdim = dec.C2.shape[0]
-
     if override is not None:
-        Lt = np.asarray(override, dtype=float)
-        if Lt.shape != (n, rdim):
-            raise SynthesisError(
-                f"override gain must have shape ({n}, {rdim}); got {Lt.shape}"
-            )
-        failure = "override gain rejected: closed-loop spectral radius {:.6f} >= 1"
-    elif rdim == 0:
-        # no residual outputs to correct with; the open map must already be stable
-        Lt = np.zeros((n, 0))
-        failure = (
-            "mode has no attack-free output direction and its open error map "
-            "is unstable (spectral radius {:.6f})"
+        override = np.asarray(override, dtype=float)[None]
+    return _raise_or_return(_gains(model, _one(dec), override)[0][0])
+
+
+def _dynamics(model: SystemModel, group: SimpleNamespace) -> dict[int, tuple]:
+    """:func:`error_dynamics` for a group with gains (:func:`_gains`'s
+    group): ``{position: (dynamics, warning message or None)}``."""
+    IL = np.eye(model.n) - group.Lt @ group.C2
+    Ae = IL @ group.Abar
+    Phi = group.Phi
+    G1M1T1 = group.G1 @ group.M1 @ group.T1
+    Bev1_star = -Phi @ G1M1T1
+    Bev2_star = -group.G2 @ group.M2 @ group.T2
+    Bew = IL @ Phi
+    Bev1 = IL @ Bev1_star
+    Bev2 = IL @ Bev2_star - group.Lt @ group.T2
+    # one LAPACK call per shape: the n-by-n maps, then the n-by-l ones, then
+    # each of the four smaller norms (_norm2's call, for every member)
+    k = group.idx.size
+    nn = _stacked_norm2(np.concatenate((Ae, group.At, Bew))).reshape(3, k).tolist()
+    nl = _stacked_norm2(np.concatenate((G1M1T1, Bev1, Bev2))).reshape(3, k).tolist()
+    (theta, a_pred, w_gain), (v_pred, bev1, bev2) = nn, nl
+    v1m1, v2m2, c1, c2 = (
+        np.linalg.svd(M, compute_uv=False)[:, 0].tolist() if M.size else [0.0] * k
+        for M in (group.V1 @ group.M1, group.V2 @ group.M2, group.C1, group.C2)
+    )
+    expansive = [i for i, t in enumerate(theta) if t >= 1.0]
+    radii = dict(zip(expansive, _spectral_radii(Ae[expansive]))) if expansive else {}
+    out = {}
+    for i, q in enumerate(group.idx.tolist()):
+        dyn = ErrorDynamics(
+            Abar=group.Abar[i],
+            Ae=Ae[i],
+            Bew_star=Phi[i],
+            Bev1_star=Bev1_star[i],
+            Bev2_star=Bev2_star[i],
+            Bew=Bew[i],
+            Bev1=Bev1[i],
+            Bev2=Bev2[i],
+            theta=theta[i],
+            a_pred=a_pred[i],
+            v_pred=v_pred[i],
+            w_gain=w_gain[i],
+            v_gain=bev1[i] + bev2[i],
+            v1m1=v1m1[i],
+            v2m2=v2m2[i],
+            c1=c1[i],
+            c2=c2[i],
         )
-    else:
-        P = _filter_dare(Abar, dec.C2)
-        S = dec.C2 @ P @ dec.C2.T + np.eye(rdim)
-        Lt = P @ dec.C2.T @ np.linalg.inv(S)
-        failure = "Riccati gain failed to stabilize: spectral radius {:.6f} >= 1"
-    radius = _spectral_radius((np.eye(n) - Lt @ dec.C2) @ Abar)
-    if radius >= 1.0:
-        raise SynthesisError(failure.format(radius), radius=radius)
-    return ObserverGains(M1=M1, M2=M2, Ltilde=Lt)
+        note = None
+        if radii.get(i, 1.0) < 1.0:
+            note = (
+                f"error map is stable (spectral radius {radii[i]:.4f}) but "
+                f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
+                "radius will grow transiently and its recursion never contracts"
+            )
+        out[q] = dyn, note
+    return out
 
 
 def error_dynamics(
@@ -347,46 +543,9 @@ def error_dynamics(
     norm-based radius recursion then grows without reflecting the true
     error.
     """
-    Phi, At, Abar = _abar(dec, gains.M1, gains.M2, model)
-    IL = np.eye(model.n) - gains.Ltilde @ dec.C2
-    Ae = IL @ Abar
-    Bew_star = Phi
-    G1M1T1 = dec.G1 @ gains.M1 @ dec.T1
-    Bev1_star = -Phi @ G1M1T1
-    Bev2_star = -dec.G2 @ gains.M2 @ dec.T2
-    Bew = IL @ Bew_star
-    Bev1 = IL @ Bev1_star
-    Bev2 = IL @ Bev2_star - gains.Ltilde @ dec.T2
-    # one LAPACK call per shape: the n-by-n maps, then the n-by-l ones
-    theta, a_pred, w_gain = _stacked_norm2(np.stack((Ae, At, Bew))).tolist()
-    v_pred, bev1, bev2 = _stacked_norm2(np.stack((G1M1T1, Bev1, Bev2))).tolist()
-    dyn = ErrorDynamics(
-        Abar=Abar,
-        Ae=Ae,
-        Bew_star=Bew_star,
-        Bev1_star=Bev1_star,
-        Bev2_star=Bev2_star,
-        Bew=Bew,
-        Bev1=Bev1,
-        Bev2=Bev2,
-        theta=theta,
-        a_pred=a_pred,
-        v_pred=v_pred,
-        w_gain=w_gain,
-        v_gain=bev1 + bev2,
-        v1m1=_norm2(dec.V1 @ gains.M1),
-        v2m2=_norm2(dec.V2 @ gains.M2),
-        c1=_norm2(dec.C1),
-        c2=_norm2(dec.C2),
-    )
-    if dyn.theta >= 1.0:
-        radius = dyn.spectral_radius
-        if radius < 1.0:
-            warnings.warn(
-                f"error map is stable (spectral radius {radius:.4f}) but "
-                f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
-                "radius will grow transiently and its recursion never contracts",
-                ConservativeRadiusWarning,
-                stacklevel=2,
-            )
+    group = _one(dec, gains)
+    group.Phi, group.At, group.Abar = _abar(group, group.M1, group.M2, model)
+    dyn, note = _dynamics(model, group)[0]
+    if note is not None:
+        warnings.warn(note, ConservativeRadiusWarning, stacklevel=2)
     return dyn

@@ -47,6 +47,8 @@ MODES_MAX = 1024
 # invariant_zeros' rank test: a zero where the smallest singular value is at most this relative
 _ZERO_TOL = 1e-8
 
+_EPS = np.finfo(float).eps
+
 
 class ModelError(ValueError):
     """Malformed plant, mode, or attack data."""
@@ -232,31 +234,129 @@ def enumerate_modes(t_a: int, t_s: int, rho: int, G, H) -> list[ModeHypothesis]:
     return modes
 
 
-def _rank_cutoff(shape, sv) -> float:
+def _rank_cutoff(shape, sv):
     """The numerical-rank cutoff ``max(shape)·eps·σ_max`` of a matrix of
     this shape with singular values ``sv``, largest first: the singular
-    values above it count toward the rank."""
-    return max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    values above it count toward the rank.  For a stack of matrices (the
+    shape's last two entries) it is one cutoff per matrix."""
+    top = sv[..., 0] if sv.shape[-1] else np.zeros(sv.shape[:-1])
+    return max(shape[-2:]) * _EPS * top
 
 
-def _column_rank_deficient(M: np.ndarray) -> tuple[bool, np.ndarray]:
+def _column_rank_deficient(M: np.ndarray):
     """``(deficient, sv)``: whether ``M`` falls short of full numerical
     column rank, and its singular values (none for a matrix without
-    columns, which is never deficient)."""
-    if not M.shape[1]:
-        return False, np.zeros(0)
+    columns, which is never deficient); for a stack, one flag and one row
+    of singular values per matrix, from one LAPACK call."""
+    if not M.shape[-1]:
+        return np.zeros(M.shape[:-2], dtype=bool), np.zeros(M.shape[:-2] + (0,))
     sv = np.linalg.svd(M, compute_uv=False)
-    return bool(sv.size < M.shape[1] or sv[-1] <= _rank_cutoff(M.shape, sv)), sv
+    if sv.shape[-1] < M.shape[-1]:
+        return np.ones(M.shape[:-2], dtype=bool), sv
+    return sv[..., -1] <= _rank_cutoff(M.shape, sv), sv
 
 
 def _hq_frame(U: np.ndarray, Vt: np.ndarray, p_H: int, C: np.ndarray, Gq: np.ndarray):
     """``(T1, T2, V1, V2, C1, C2, G1, G2)`` from the full SVD ``Hq = U Σ Vt``
     of numerical rank ``p_H``: the attacked output directions ``T1`` and the
     attack-free ones ``T2``, the output-visible attack directions ``V1`` and
-    the state-only ones ``V2``, and ``C`` and ``Gq`` in that frame."""
-    T1, T2 = U[:, :p_H].T, U[:, p_H:].T
-    V1, V2 = Vt[:p_H].T, Vt[p_H:].T
+    the state-only ones ``V2``, and ``C`` and ``Gq`` in that frame.  Stacks
+    of hypotheses with one ``p_H`` give stacks, the views and products of
+    each matrix laid out as a single hypothesis's are."""
+    T1, T2 = U[..., :p_H].swapaxes(-1, -2), U[..., p_H:].swapaxes(-1, -2)
+    V1, V2 = Vt[..., :p_H, :].swapaxes(-1, -2), Vt[..., p_H:, :].swapaxes(-1, -2)
     return T1, T2, V1, V2, T1 @ C, T2 @ C, Gq @ V1, Gq @ V2
+
+
+def _hq_svd(Hq: np.ndarray):
+    """``(U, sv, Vt, cutoff, ranks)``: the full SVD of each ``Hq`` of a
+    stack in one LAPACK call, each one's rank cutoff, and the list of their
+    numerical ranks ``p_H``.  Detectability and the decomposition both
+    start from it."""
+    U, sv, Vt = np.linalg.svd(Hq, full_matrices=True)
+    cutoff = _rank_cutoff(Hq.shape, sv)[:, None]
+    return U, sv, Vt, cutoff, (sv > cutoff).sum(axis=1).tolist()
+
+
+def _some(M: np.ndarray, sel: list[int]) -> np.ndarray:
+    """The matrices ``sel`` of a stack: the stack itself when that is all
+    of them."""
+    return M if len(sel) == len(M) else M[sel]
+
+
+def _stacked_zeros(A, C, Gq, U, sv, Vt, p_H: int) -> list[tuple]:
+    """:func:`invariant_zeros`' ``(zeros, note)`` for each hypothesis of a
+    stack whose ``Hq`` share the rank ``p_H``, given their SVDs
+    (:func:`_hq_svd`).  Every stage is one stacked call per group of
+    hypotheses that share their matrix shapes, which split again at the
+    rank of ``G2`` and at whether ``Abar``'s spectrum is real; LAPACK and
+    ``matmul`` give each matrix of a stack the floats of a call of its own,
+    so each hypothesis gets the result it would get alone."""
+    k, n, rho = Gq.shape
+    _, _, _, _, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, C, Gq)
+    # State map after absorbing the output-visible attack component (A's
+    # own floats when p_H is 0: the empty product is +0.0)
+    At = A - G1 @ (C1 / sv[:, :p_H, None])
+
+    # Quotient away attack directions that touch neither state nor output.
+    if rho - p_H:
+        Ug, sg, _ = np.linalg.svd(G2, full_matrices=False)
+        ranks = (sg > _rank_cutoff(G2.shape, sg)[:, None]).sum(axis=1).tolist()
+    else:
+        Ug, ranks = np.zeros((k, n, 0)), [0] * k
+    out: list = [None] * k
+    for r in sorted(set(ranks)):
+        sel = [i for i, ri in enumerate(ranks) if ri == r]
+        C2s = _some(C2, sel)
+        C2G = C2s @ _some(Ug, sel)[..., :r]
+        deficient = _column_rank_deficient(C2G)[0].tolist()
+        if any(deficient):
+            for i in [i for i, d in zip(sel, deficient) if d]:
+                out[i] = None, (
+                    "residual outputs do not see the state-side attack range "
+                    "(C2*G2 is column-rank deficient); one-step absorption fails "
+                    "and the zero computation is unavailable"
+                )
+            keep = [j for j, d in enumerate(deficient) if not d]
+            if not keep:
+                continue
+            sel, C2s, C2G = [sel[j] for j in keep], C2s[keep], C2G[keep]
+        Ghat, Ats = _some(Ug, sel)[..., :r], _some(At, sel)
+        M2 = np.linalg.pinv(C2G)
+        Abar = (np.eye(n) - Ghat @ M2 @ C2s) @ Ats
+        # Rank-test rows beyond the eigenvalue condition itself.
+        extra = np.concatenate((C2s, (np.eye(C2s.shape[1]) - C2G @ M2) @ C2s @ Ats), axis=1)
+        # One batched SVD over the candidates of every hypothesis whose
+        # eigvals have one dtype: a hypothesis's own call returns a real
+        # array exactly when all its eigenvalues are real, and each pencil
+        # is complex exactly when its candidate z is.
+        eigs = np.linalg.eigvals(Abar)
+        real = [True] * len(sel)
+        if np.iscomplexobj(eigs):
+            real = (eigs.imag == 0.0).all(axis=1).tolist()
+        for kind in sorted(set(real)):
+            part = [j for j, rj in enumerate(real) if rj == kind]
+            w = _some(eigs, part)
+            w = w.real if kind and np.iscomplexobj(w) else w
+            # Abar - z I formed in place, with no temporary of the pencils' size
+            stacks = np.empty((len(part), n, n + extra.shape[1], n), dtype=w.dtype)
+            pencil = stacks[:, :, :n]
+            np.multiply(w[:, :, None, None], np.eye(n), out=pencil)
+            np.subtract(_some(Abar, part)[:, None], pencil, out=pencil)
+            stacks[:, :, n:] = _some(extra, part)[:, None]
+            hits = np.zeros(w.shape, dtype=bool)
+            if n:
+                s = np.linalg.svd(stacks.reshape((-1,) + stacks.shape[2:]), compute_uv=False)
+                # fmax, like max(1.0, s), takes 1.0 over a NaN
+                hits = (s[:, -1] <= _ZERO_TOL * np.fmax(1.0, s[:, 0])).reshape(w.shape)
+            for j, wj, hj in zip(part, w, hits):
+                zeros = [complex(z) for z in wj[hj]]
+                out[sel[j]] = zeros, (
+                    f"one-step reduction: rank {p_H} output-visible attack part, "
+                    f"{rho - p_H - r} slack input direction(s) quotiented, "
+                    f"{len(zeros)} invariant zero(s) among {n} candidate eigenvalue(s)"
+                )
+    return out
 
 
 def invariant_zeros(A, Gq, C, Hq):
@@ -287,7 +387,9 @@ def invariant_zeros(A, Gq, C, Hq):
     with ``At`` the state map after absorbing the output-visible attack
     part, ``M2`` the pseudoinverse of ``C2 G2``, and ``Abar`` the state map
     after absorbing both parts.  The search therefore runs over the
-    eigenvalues of ``Abar`` with a rank test on the stacked conditions.
+    eigenvalues of ``Abar`` with a rank test on the stacked conditions,
+    one batched SVD over the candidates (:func:`_stacked_zeros`, here for a
+    stack of one hypothesis).
     """
     A = np.asarray(A, dtype=float)
     Gq = np.asarray(Gq, dtype=float)
@@ -300,55 +402,17 @@ def invariant_zeros(A, Gq, C, Hq):
         raise ModelError(
             f"inconsistent dimensions: A {A.shape}, Gq {Gq.shape}, C {C.shape}, Hq {Hq.shape}"
         )
+    U, sv, Vt, _, ranks = _hq_svd(Hq[None])
+    return _stacked_zeros(A, C, Gq[None], U, sv, Vt, ranks[0])[0]
 
-    # Output split along the attacked-sensor directions.
-    U, sv, Vt = np.linalg.svd(Hq, full_matrices=True)
-    p_H = int(np.sum(sv > _rank_cutoff(Hq.shape, sv)))
-    _, _, _, _, C1, C2, G1, G2 = _hq_frame(U, Vt, p_H, C, Gq)
 
-    # State map after absorbing the output-visible attack component.
-    At = A - G1 @ (C1 / sv[:p_H, None]) if p_H else A.copy()
-
-    # Quotient away attack directions that touch neither state nor output.
-    if G2.shape[1]:
-        Ug, sg, _ = np.linalg.svd(G2, full_matrices=False)
-        r = int(np.sum(sg > _rank_cutoff(G2.shape, sg)))
-        Ghat = Ug[:, :r]
-    else:
-        r = 0
-        Ghat = np.zeros((n, 0))
-
-    C2G = C2 @ Ghat
-    if _column_rank_deficient(C2G)[0]:
-        return None, (
-            "residual outputs do not see the state-side attack range "
-            "(C2*G2 is column-rank deficient); one-step absorption fails "
-            "and the zero computation is unavailable"
-        )
-    M2 = np.linalg.pinv(C2G)
-    Abar = (np.eye(n) - Ghat @ M2 @ C2) @ At
-    # Rank-test rows beyond the eigenvalue condition itself.
-    extra = np.vstack([C2, (np.eye(C2.shape[0]) - C2G @ M2) @ C2 @ At])
-
-    # One batched SVD over the candidates: LAPACK gives each pencil the
-    # singular values of a call of its own.  The batch is complex exactly
-    # when eigvals returns a complex array, as each candidate z is.
-    eigs = np.linalg.eigvals(Abar)
-    stacks = np.empty((eigs.size, n + extra.shape[0], n), dtype=eigs.dtype)
-    stacks[:, :n] = Abar - eigs[:, None, None] * np.eye(n)
-    stacks[:, n:] = extra
-    zeros = []
-    if eigs.size:
-        sv = np.linalg.svd(stacks, compute_uv=False)
-        # fmax, like max(1.0, s), takes 1.0 over a NaN
-        hits = sv[:, -1] <= _ZERO_TOL * np.fmax(1.0, sv[:, 0])
-        zeros = [complex(z) for z in eigs[hits]]
-    note = (
-        f"one-step reduction: rank {p_H} output-visible attack part, "
-        f"{rho - p_H - r} slack input direction(s) quotiented, "
-        f"{len(zeros)} invariant zero(s) among {n} candidate eigenvalue(s)"
-    )
-    return zeros, note
+def _detectable(zeros, note) -> tuple[bool, str | None]:
+    """:func:`check_strong_detectability`'s verdict from
+    :func:`invariant_zeros`' result, and the message of the warning it
+    emits (None if it emits none)."""
+    if zeros is None:
+        return False, "strong-detectability check degraded to conservative False: " + note
+    return all(abs(z) < 1.0 for z in zeros), None
 
 
 def check_strong_detectability(A, Gq, C, Hq) -> bool:
@@ -358,15 +422,10 @@ def check_strong_detectability(A, Gq, C, Hq) -> bool:
     a :class:`DegenerateModeWarning` — such hypotheses cannot support the
     observer construction downstream anyway.
     """
-    zeros, note = invariant_zeros(A, Gq, C, Hq)
-    if zeros is None:
-        warnings.warn(
-            "strong-detectability check degraded to conservative False: " + note,
-            DegenerateModeWarning,
-            stacklevel=2,
-        )
-        return False
-    return all(abs(z) < 1.0 for z in zeros)
+    detectable, message = _detectable(*invariant_zeros(A, Gq, C, Hq))
+    if message is not None:
+        warnings.warn(message, DegenerateModeWarning, stacklevel=2)
+    return detectable
 
 
 def validate(model: SystemModel) -> list[str]:

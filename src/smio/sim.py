@@ -25,23 +25,24 @@ bulk: all directions of one kind in one call, then all radii in one call
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
 
-from .decomposition import (
-    DecompositionError,
-    decompose_mode,
-    error_dynamics,
-    synthesize_gains,
-)
+from .decomposition import ConservativeRadiusWarning, _decompose, _dynamics, _gains
 from .model import (
     MODES_MAX,
     AttackSignal,
+    DegenerateModeWarning,
     ModeHypothesis,
     SystemModel,
-    check_strong_detectability,
+    _detectable,
+    _hq_svd,
+    _some,
+    _stacked_zeros,
     enumerate_modes,
 )
 from .modeguard import (
@@ -92,6 +93,13 @@ HORIZON_MAX = 100_000
 # admits ``smio benchmark`` at HORIZON_MAX (about 60 MB) and a full bank of
 # such hypotheses at a horizon of 1000 (about 124 MB).
 TRACE_BYTES_MAX = 2**30
+
+# build_bank takes a group of same-shape hypotheses through each stage at
+# once, at most about this many bytes of its largest stacks at a time:
+# invariant_zeros' candidate pencils (n complex (n + 2 l)-by-n matrices per
+# hypothesis) and the l-by-l frames of Hq.  A larger group is built in
+# chunks, so no transient grows with the number of hypotheses.
+GROUP_BYTES = 2**22
 
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
@@ -452,22 +460,78 @@ def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, s
     dynamics for each mode.  Returns ``(bank, excluded)``: ``bank`` maps a
     mode id to its ``(mode, decomposition, gains, error dynamics)`` tuple,
     ``excluded`` maps the id of every mode left out to the reason.
+
+    The modes that share their matrix shapes go through each stage
+    together, in chunks of at most about :data:`GROUP_BYTES`, with one
+    stacked LAPACK or matmul call per stage where
+    :func:`~smio.model.check_strong_detectability`,
+    :func:`~smio.decomposition.decompose_mode`,
+    :func:`~smio.decomposition.synthesize_gains` and
+    :func:`~smio.decomposition.error_dynamics` would make one per mode.
+    Each mode gets the matrices, floats, exclusion reason and warning
+    those functions give it, and both dicts and the warnings follow the
+    order of ``modes``.
     """
+    groups: dict[tuple, list[int]] = {}
+    for i, mode in enumerate(modes):
+        groups.setdefault((mode.Gq.shape, mode.Hq.shape), []).append(i)
+    n, ell = model.n, model.l
+    size = max(1, GROUP_BYTES // max(1, 16 * n * n * (n + 2 * ell) + 8 * ell * ell))
+    built: list = [None] * len(modes)
+    for members in groups.values():
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            for i, result in zip(chunk, _build_group(model, [modes[i] for i in chunk])):
+                built[i] = result
     bank: dict[int, tuple] = {}
     excluded: dict[int, str] = {}
-    for mode in modes:
-        if not check_strong_detectability(model.A, mode.Gq, model.C, mode.Hq):
-            excluded[mode.id] = "not strongly detectable"
-            continue
-        try:
-            dec = decompose_mode(model, mode)
-            gains = synthesize_gains(dec, model)
-            dyn = error_dynamics(dec, gains, model)
-        except DecompositionError as exc:
-            excluded[mode.id] = f"{type(exc).__name__}: {exc}"
-            continue
-        bank[mode.id] = (mode, dec, gains, dyn)
+    for mode, (entry, warning) in zip(modes, built):
+        if warning is not None:
+            warnings.warn(warning[1], warning[0], stacklevel=1)
+        if isinstance(entry, str):
+            excluded[mode.id] = entry
+        else:
+            bank[mode.id] = entry
     return bank, excluded
+
+
+def _build_group(model: SystemModel, modes) -> list[tuple]:
+    """Each mode's ``(bank entry or exclusion reason, (warning class,
+    message) or None)``, for modes with one shape of ``Gq`` and ``Hq``.
+    One SVD of each ``Hq`` serves detectability and the decomposition; the
+    group splits at its rank p_H."""
+    out: list = [None] * len(modes)
+    U, sv, Vt, cutoff, ranks = _hq_svd(np.stack([mode.Hq for mode in modes]))
+    Gq = np.stack([mode.Gq for mode in modes])
+    for p_H in sorted(set(ranks)):
+        sel = [i for i, r in enumerate(ranks) if r == p_H]
+        stacks = [_some(M, sel) for M in (Gq, U, sv, Vt)]
+        passed = []
+        for i, result in zip(sel, _stacked_zeros(model.A, model.C, *stacks, p_H)):
+            detectable, message = _detectable(*result)
+            if detectable:
+                passed.append(i)
+            else:
+                warning = None if message is None else (DegenerateModeWarning, message)
+                out[i] = "not strongly detectable", warning
+        if not passed:
+            continue
+        Gq_, U_, sv_, Vt_, cut = (_some(M, passed) for M in (Gq, U, sv, Vt, cutoff))
+        group = SimpleNamespace(
+            idx=np.array(passed), p_H=p_H, Gq=Gq_, U=U_, sv=sv_, Vt=Vt_, cutoff=cut
+        )
+        decs, group = _decompose(model, group)
+        gains, group = _gains(model, group) if group.idx.size else ({}, group)
+        dyns = _dynamics(model, group) if group.idx.size else {}
+        for i in passed:
+            failure = decs[i] if isinstance(decs[i], Exception) else gains[i]
+            if isinstance(failure, Exception):
+                out[i] = f"{type(failure).__name__}: {failure}", None
+                continue
+            dyn, message = dyns[i]
+            warning = None if message is None else (ConservativeRadiusWarning, message)
+            out[i] = (modes[i], decs[i], gains[i], dyn), warning
+    return out
 
 
 def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> int | None:

@@ -8,8 +8,8 @@ estimation pipeline stepped one observer update at a time with a record
 of each residual test, the cross-mode
 re-based residual, the trace CSV formatted one row at a time, the plant
 simulated one step and one noise row at a time, one observer's state
-recursion stepped on its own, and the radius recursion taken at every
-step.  The pipeline, the residual, the CSV writer, the observer recursion
+recursion stepped on its own, the radius recursion taken at every
+step, and the observer bank built one hypothesis at a time.  The pipeline, the residual, the CSV writer, the observer recursion
 and the radius recursion use ``smio`` (imported where they run): the
 pipeline only its one-step functions, the residual its error type, the CSV
 writer its header and row formats, the observer recursion the observer's
@@ -656,3 +656,279 @@ def radius_recursion(errdyn, model, steps):
         dx, delta_d[k] = _radii(errdyn, model.eta_w, model.eta_v, dx)
         delta_x[k] = dx
     return delta_x, delta_d
+
+
+# ------------------------------------------------- per-hypothesis bank build
+#
+# The observer bank built one hypothesis at a time, as smio built it before
+# it took same-shape hypotheses through each stage in stacked calls:
+# detectability, decomposition, gains and error dynamics, each with its own
+# 2-D LAPACK calls.  Only smio's result types, exceptions and warning
+# classes are used; every computation is a frozen copy.
+
+
+def _ph_rank_cutoff(shape, sv):
+    return max(shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+
+
+def _ph_column_rank_deficient(M):
+    if not M.shape[1]:
+        return False, np.zeros(0)
+    sv = np.linalg.svd(M, compute_uv=False)
+    return bool(sv.size < M.shape[1] or sv[-1] <= _ph_rank_cutoff(M.shape, sv)), sv
+
+
+def _ph_hq_frame(U, Vt, p_H, C, Gq):
+    T1, T2 = U[:, :p_H].T, U[:, p_H:].T
+    V1, V2 = Vt[:p_H].T, Vt[p_H:].T
+    return T1, T2, V1, V2, T1 @ C, T2 @ C, Gq @ V1, Gq @ V2
+
+
+def _ph_norm2(M):
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
+def _ph_stacked_norm2(stack):
+    nonzero = stack.any(axis=(1, 2))
+    if nonzero.all():
+        return np.linalg.svd(stack, compute_uv=False).max(axis=1)
+    norms = np.zeros(stack.shape[0])
+    if nonzero.any():
+        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False).max(axis=1)
+    return norms
+
+
+def _ph_spectral_radius(M):
+    return float(np.max(np.abs(np.linalg.eigvals(M)))) if M.size else 0.0
+
+
+def per_hypothesis_invariant_zeros(A, Gq, C, Hq):
+    """``smio.model.invariant_zeros`` for one hypothesis with 2-D calls."""
+    from smio.model import _ZERO_TOL
+
+    A, Gq, C, Hq = (np.asarray(M, dtype=float) for M in (A, Gq, C, Hq))
+    n = A.shape[0]
+    rho = Gq.shape[1]
+    U, sv, Vt = np.linalg.svd(Hq, full_matrices=True)
+    p_H = int(np.sum(sv > _ph_rank_cutoff(Hq.shape, sv)))
+    _, _, _, _, C1, C2, G1, G2 = _ph_hq_frame(U, Vt, p_H, C, Gq)
+    At = A - G1 @ (C1 / sv[:p_H, None]) if p_H else A.copy()
+    if G2.shape[1]:
+        Ug, sg, _ = np.linalg.svd(G2, full_matrices=False)
+        r = int(np.sum(sg > _ph_rank_cutoff(G2.shape, sg)))
+        Ghat = Ug[:, :r]
+    else:
+        r = 0
+        Ghat = np.zeros((n, 0))
+    C2G = C2 @ Ghat
+    if _ph_column_rank_deficient(C2G)[0]:
+        return None, (
+            "residual outputs do not see the state-side attack range "
+            "(C2*G2 is column-rank deficient); one-step absorption fails "
+            "and the zero computation is unavailable"
+        )
+    M2 = np.linalg.pinv(C2G)
+    Abar = (np.eye(n) - Ghat @ M2 @ C2) @ At
+    extra = np.vstack([C2, (np.eye(C2.shape[0]) - C2G @ M2) @ C2 @ At])
+    eigs = np.linalg.eigvals(Abar)
+    stacks = np.empty((eigs.size, n + extra.shape[0], n), dtype=eigs.dtype)
+    stacks[:, :n] = Abar - eigs[:, None, None] * np.eye(n)
+    stacks[:, n:] = extra
+    zeros = []
+    if eigs.size:
+        s = np.linalg.svd(stacks, compute_uv=False)
+        hits = s[:, -1] <= _ZERO_TOL * np.fmax(1.0, s[:, 0])
+        zeros = [complex(z) for z in eigs[hits]]
+    note = (
+        f"one-step reduction: rank {p_H} output-visible attack part, "
+        f"{rho - p_H - r} slack input direction(s) quotiented, "
+        f"{len(zeros)} invariant zero(s) among {n} candidate eigenvalue(s)"
+    )
+    return zeros, note
+
+
+def per_hypothesis_detectable(A, Gq, C, Hq):
+    """``smio.model.check_strong_detectability`` for one hypothesis."""
+    import warnings
+
+    from smio.model import DegenerateModeWarning
+
+    zeros, note = per_hypothesis_invariant_zeros(A, Gq, C, Hq)
+    if zeros is None:
+        warnings.warn(
+            "strong-detectability check degraded to conservative False: " + note,
+            DegenerateModeWarning,
+            stacklevel=2,
+        )
+        return False
+    return all(abs(z) < 1.0 for z in zeros)
+
+
+def per_hypothesis_decompose(model, mode):
+    """``smio.decomposition.decompose_mode`` for one hypothesis."""
+    from smio.decomposition import ModeDecomposition, RankAmbiguityError
+
+    U, sv, Vt = np.linalg.svd(mode.Hq, full_matrices=True)
+    cutoff = _ph_rank_cutoff(mode.Hq.shape, sv)
+    ambiguous = [s for s in sv if cutoff / 1e3 < s <= cutoff * 1e3]
+    if ambiguous:
+        raise RankAmbiguityError(
+            "numerical rank of Hq is ambiguous: singular value(s) "
+            + ", ".join(f"{s:.6e}" for s in ambiguous)
+            + f" lie within a factor 1e3 of the cutoff {cutoff:.6e}"
+        )
+    p_H = int(np.sum(sv > cutoff))
+    for i in range(U.shape[1]):
+        col = U[:, i]
+        if col[np.argmax(np.abs(col))] < 0:
+            U[:, i] = -col
+            if i < p_H:
+                Vt[i, :] = -Vt[i, :]
+    for i in range(p_H, Vt.shape[0]):
+        row = Vt[i, :]
+        if row.size and row[np.argmax(np.abs(row))] < 0:
+            Vt[i, :] = -row
+    T1, T2, V1, V2, C1, C2, G1, G2 = _ph_hq_frame(U, Vt, p_H, model.C, mode.Gq)
+    return ModeDecomposition(
+        p_H=p_H, T1=T1, T2=T2, Sigma=np.diag(sv[:p_H]), V1=V1, V2=V2,
+        C1=C1, C2=C2, D1=T1 @ model.D, D2=T2 @ model.D, G1=G1, G2=G2,
+    )
+
+
+def per_hypothesis_abar(dec, M1, M2, model):
+    """``(Phi, At, Abar)`` of one hypothesis."""
+    Phi = np.eye(model.n) - dec.G2 @ M2 @ dec.C2
+    At = model.A - dec.G1 @ M1 @ dec.C1
+    return Phi, At, Phi @ At
+
+
+def per_hypothesis_m1_m2(dec):
+    """The inversion gains ``(M1, M2)`` of one hypothesis."""
+    from smio.decomposition import InfeasibleModeError
+
+    diag = np.diag(dec.Sigma) if dec.p_H else np.zeros(0)
+    M1 = np.diag(1.0 / diag) if dec.p_H else np.zeros((0, 0))
+    C2G2 = dec.C2 @ dec.G2
+    deficient, sv = _ph_column_rank_deficient(C2G2)
+    if deficient:
+        raise InfeasibleModeError(
+            "C2*G2 is column-rank deficient "
+            f"(shape {C2G2.shape}, singular values {np.array2string(sv, precision=3)}); "
+            "the state-side attack component cannot be recovered from the residual outputs"
+        )
+    return M1, np.linalg.pinv(C2G2)
+
+
+def per_hypothesis_filter_dare(Abar, C2):
+    """The filter Riccati solution of one hypothesis by doubling."""
+    from smio.decomposition import SynthesisError
+
+    n = Abar.shape[0]
+    I = np.eye(n)
+    A, G, H = Abar.T, C2.T @ C2, I
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            try:
+                W = np.linalg.solve(I + G @ H, np.concatenate((A, G), axis=1))
+            except np.linalg.LinAlgError as exc:
+                raise SynthesisError(f"Riccati synthesis failed: {exc}") from exc
+            WA, WG = W[:, :n], W[:, n:]
+            H_next = H + A.T @ H @ WA
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + A @ WG @ A.T
+            A = A @ WA
+            if not np.isfinite(H_next).all():
+                raise SynthesisError("Riccati synthesis failed: the doubling iteration diverged")
+            change = np.max(np.abs(H_next - H))
+            H = H_next
+            if change <= 1e-15 * max(1.0, np.max(np.abs(H))):
+                return H
+    raise SynthesisError("Riccati synthesis failed: no convergence in 100 doubling steps")
+
+
+def per_hypothesis_gains(dec, model, override=None):
+    """``smio.decomposition.synthesize_gains`` for one hypothesis."""
+    from smio.decomposition import ObserverGains, SynthesisError
+
+    M1, M2 = per_hypothesis_m1_m2(dec)
+    Abar = per_hypothesis_abar(dec, M1, M2, model)[2]
+    n = model.n
+    rdim = dec.C2.shape[0]
+    if override is not None:
+        Lt = np.asarray(override, dtype=float)
+        if Lt.shape != (n, rdim):
+            raise SynthesisError(f"override gain must have shape ({n}, {rdim}); got {Lt.shape}")
+        failure = "override gain rejected: closed-loop spectral radius {:.6f} >= 1"
+    elif rdim == 0:
+        Lt = np.zeros((n, 0))
+        failure = (
+            "mode has no attack-free output direction and its open error map "
+            "is unstable (spectral radius {:.6f})"
+        )
+    else:
+        P = per_hypothesis_filter_dare(Abar, dec.C2)
+        S = dec.C2 @ P @ dec.C2.T + np.eye(rdim)
+        Lt = P @ dec.C2.T @ np.linalg.inv(S)
+        failure = "Riccati gain failed to stabilize: spectral radius {:.6f} >= 1"
+    radius = _ph_spectral_radius((np.eye(n) - Lt @ dec.C2) @ Abar)
+    if radius >= 1.0:
+        raise SynthesisError(failure.format(radius), radius=radius)
+    return ObserverGains(M1=M1, M2=M2, Ltilde=Lt)
+
+
+def per_hypothesis_error_dynamics(dec, gains, model):
+    """``smio.decomposition.error_dynamics`` for one hypothesis."""
+    import warnings
+
+    from smio.decomposition import ConservativeRadiusWarning, ErrorDynamics
+
+    Phi, At, Abar = per_hypothesis_abar(dec, gains.M1, gains.M2, model)
+    IL = np.eye(model.n) - gains.Ltilde @ dec.C2
+    Ae = IL @ Abar
+    G1M1T1 = dec.G1 @ gains.M1 @ dec.T1
+    Bev1_star = -Phi @ G1M1T1
+    Bev2_star = -dec.G2 @ gains.M2 @ dec.T2
+    Bew = IL @ Phi
+    Bev1 = IL @ Bev1_star
+    Bev2 = IL @ Bev2_star - gains.Ltilde @ dec.T2
+    theta, a_pred, w_gain = _ph_stacked_norm2(np.stack((Ae, At, Bew))).tolist()
+    v_pred, bev1, bev2 = _ph_stacked_norm2(np.stack((G1M1T1, Bev1, Bev2))).tolist()
+    dyn = ErrorDynamics(
+        Abar=Abar, Ae=Ae, Bew_star=Phi, Bev1_star=Bev1_star, Bev2_star=Bev2_star,
+        Bew=Bew, Bev1=Bev1, Bev2=Bev2, theta=theta, a_pred=a_pred, v_pred=v_pred,
+        w_gain=w_gain, v_gain=bev1 + bev2,
+        v1m1=_ph_norm2(dec.V1 @ gains.M1), v2m2=_ph_norm2(dec.V2 @ gains.M2),
+        c1=_ph_norm2(dec.C1), c2=_ph_norm2(dec.C2),
+    )
+    if dyn.theta >= 1.0:
+        radius = _ph_spectral_radius(dyn.Ae)
+        if radius < 1.0:
+            warnings.warn(
+                f"error map is stable (spectral radius {radius:.4f}) but "
+                f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
+                "radius will grow transiently and its recursion never contracts",
+                ConservativeRadiusWarning,
+                stacklevel=2,
+            )
+    return dyn
+
+
+def per_hypothesis_bank(model, modes):
+    """``smio.sim.build_bank``'s ``(bank, excluded)``, one hypothesis at a
+    time through the stages above."""
+    from smio.decomposition import DecompositionError
+
+    bank, excluded = {}, {}
+    for mode in modes:
+        if not per_hypothesis_detectable(model.A, mode.Gq, model.C, mode.Hq):
+            excluded[mode.id] = "not strongly detectable"
+            continue
+        try:
+            dec = per_hypothesis_decompose(model, mode)
+            gains = per_hypothesis_gains(dec, model)
+            dyn = per_hypothesis_error_dynamics(dec, gains, model)
+        except DecompositionError as exc:
+            excluded[mode.id] = f"{type(exc).__name__}: {exc}"
+            continue
+        bank[mode.id] = (mode, dec, gains, dyn)
+    return bank, excluded

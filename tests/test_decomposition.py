@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance
-from oracles import riccati_difference_gain
+from oracles import per_hypothesis_abar, per_hypothesis_m1_m2, riccati_difference_gain
 from smio.decomposition import (
     ConservativeRadiusWarning,
     DecompositionError,
@@ -14,8 +14,6 @@ from smio.decomposition import (
     ModeDecomposition,
     RankAmbiguityError,
     SynthesisError,
-    _abar,
-    _m1_m2,
     _norm2,
     _stacked_norm2,
     decompose_mode,
@@ -217,8 +215,8 @@ def _scipy_gain(dec, model):
     """Ltilde from scipy's Schur-based DARE solver, or None where scipy finds
     no stabilizing gain; the same verdict rule as synthesize_gains."""
     linalg = pytest.importorskip("scipy.linalg")
-    M1, M2 = _m1_m2(dec)
-    Abar = _abar(dec, M1, M2, model)[2]
+    M1, M2 = per_hypothesis_m1_m2(dec)
+    Abar = per_hypothesis_abar(dec, M1, M2, model)[2]
     n, r = model.n, dec.residual_dim
     try:
         P = linalg.solve_discrete_are(Abar.T, dec.C2.T, np.eye(n), np.eye(r))
@@ -233,7 +231,7 @@ def _compare_with_scipy(model, mode):
     """Compare one hypothesis; returns False when it never reaches the solver."""
     try:
         dec = decompose_mode(model, mode)
-        _m1_m2(dec)
+        per_hypothesis_m1_m2(dec)
     except DecompositionError:
         return False
     if dec.residual_dim == 0:
