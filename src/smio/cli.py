@@ -533,11 +533,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit(self.prog + ": error: " + message) from None
 
-    def exit(self, status=0, message=None):
-        if message:
-            sys.stderr.write(message)
-        raise SystemExit(status)
-
 
 def _add_common(
     p: _Parser,

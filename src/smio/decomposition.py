@@ -8,7 +8,9 @@ part visible in the output (``V1``) and a part acting only through the
 state (``V2``).  The frame comes from the SVD of ``Hq`` with a fixed sign
 convention so traces are reproducible across platforms.  On top of the
 frame sit the observer gains (``M1``, ``M2``, ``Ltilde``) and the closed
-matrices of the estimation-error recursion.
+matrices of the estimation-error recursion.  :func:`build_bank` takes a
+bank of hypotheses through these stages, the hypotheses that share their
+matrix shapes together.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from .model import (
+    DegenerateModeWarning,
     ModeHypothesis,
     SystemModel,
     _column_rank_deficient,
+    _detectable,
     _hq_frame,
     _hq_svd,
+    _some,
+    _stacked_zeros,
 )
 
 __all__ = [
@@ -37,10 +43,19 @@ __all__ = [
     "InfeasibleModeError",
     "SynthesisError",
     "ConservativeRadiusWarning",
+    "GROUP_BYTES",
     "decompose_mode",
     "synthesize_gains",
     "error_dynamics",
+    "build_bank",
 ]
+
+# build_bank takes a group of same-shape hypotheses through each stage at
+# once, at most about this many bytes of its largest stacks at a time:
+# invariant_zeros' candidate pencils (n complex (n + 2 l)-by-n matrices per
+# hypothesis) and the l-by-l frames of Hq.  A larger group is built in
+# chunks, so no transient grows with the number of hypotheses.
+GROUP_BYTES = 2**22
 
 
 class DecompositionError(ValueError):
@@ -211,17 +226,42 @@ class ErrorDynamics:
 # gets the floats it would get alone.  A group is a namespace of stacks
 # whose first axis runs over its members, with ``idx``, each member's
 # position in the caller's list; a stage returns each member's result or
-# exception by position, and the group of the members that got through.
-# The single-hypothesis functions are the group-of-one case.
+# exception by position, and the group of the members that got through
+# (:func:`_drop`).  The single-hypothesis functions are the group-of-one
+# case.
 
 _FRAME = ("T1", "T2", "V1", "V2", "C1", "C2", "D1", "D2", "G1", "G2")
 
 
-def _take(group: SimpleNamespace, keep: np.ndarray) -> SimpleNamespace:
-    """The members ``keep`` (a boolean mask) of a group."""
+def _drop(group: SimpleNamespace, failed: dict, out) -> SimpleNamespace:
+    """Record each failed member's result, ``failed[i]`` for the member at
+    position ``i`` of the group, in ``out`` at the member's ``idx``, and
+    return the group of the others: the group itself when none failed."""
+    for i, result in failed.items():
+        out[int(group.idx[i])] = result
+    if not failed:
+        return group
+    keep = np.ones(group.idx.size, dtype=bool)
+    keep[list(failed)] = False
     return SimpleNamespace(
-        **{name: v if name == "p_H" else v[keep] for name, v in vars(group).items()}
+        **{name: v[keep] if isinstance(v, np.ndarray) else v for name, v in vars(group).items()}
     )
+
+
+def _rank_groups(modes):
+    """The hypotheses ``modes``, which share the shapes of ``Gq`` and
+    ``Hq``, as groups of one rank p_H of ``Hq``, by increasing p_H, made
+    one at a time.  A group holds its members' ``Gq`` and the full SVDs
+    ``U, sv, Vt`` of their ``Hq`` with the rank cutoffs
+    (:func:`~smio.model._hq_svd`): one SVD per ``Hq`` serves detectability
+    and the decomposition."""
+    U, sv, Vt, cutoff, ranks = _hq_svd(np.stack([mode.Hq for mode in modes]))
+    stacks = dict(Gq=np.stack([mode.Gq for mode in modes]), U=U, sv=sv, Vt=Vt, cutoff=cutoff)
+    for p_H in sorted(set(ranks)):
+        sel = [i for i, r in enumerate(ranks) if r == p_H]
+        yield SimpleNamespace(
+            idx=np.array(sel), p_H=p_H, **{name: _some(M, sel) for name, M in stacks.items()}
+        )
 
 
 def _one(dec: ModeDecomposition, gains: ObserverGains | None = None) -> SimpleNamespace:
@@ -248,24 +288,22 @@ def _signs(M: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _decompose(model: SystemModel, group: SimpleNamespace):
-    """:func:`decompose_mode` for a group with one ``p_H``, given the
-    attack matrices ``Gq`` and the full SVDs ``U, sv, Vt`` of the ``Hq``
-    (unchanged) with their rank cutoffs (:func:`~smio.model._hq_svd`).
+    """:func:`decompose_mode` for a group of :func:`_rank_groups`.
     Returns ``({position: decomposition or error}, frames)``, ``frames``
     the group of the decomposed members with the stacked fields of
     :class:`ModeDecomposition` (``sv`` for ``Sigma``'s diagonals)."""
     p_H, sv, cutoff = group.p_H, group.sv, group.cutoff
     out: dict[int, object] = {}
     near = (cutoff / 1e3 < sv) & (sv <= cutoff * 1e3)
-    ambiguous = near.any(axis=1)
-    if any(ambiguous.tolist()):
-        for i in np.flatnonzero(ambiguous).tolist():
-            out[int(group.idx[i])] = RankAmbiguityError(
-                "numerical rank of Hq is ambiguous: singular value(s) "
-                + ", ".join(f"{s:.6e}" for s in sv[i][near[i]])
-                + f" lie within a factor 1e3 of the cutoff {cutoff[i, 0]:.6e}"
-            )
-        group = _take(group, ~ambiguous)
+    ambiguous = {
+        i: RankAmbiguityError(
+            "numerical rank of Hq is ambiguous: singular value(s) "
+            + ", ".join(f"{s:.6e}" for s in sv[i][near[i]])
+            + f" lie within a factor 1e3 of the cutoff {cutoff[i, 0]:.6e}"
+        )
+        for i in np.flatnonzero(near.any(axis=1)).tolist()
+    }
+    group = _drop(group, ambiguous, out)
     U, Vt = group.U, group.Vt
 
     # deterministic signs: dominant entry of each output direction positive
@@ -307,11 +345,7 @@ def decompose_mode(model: SystemModel, mode: ModeHypothesis) -> ModeDecompositio
     1e3 of the rank cutoff — a silently misidentified rank would corrupt
     every downstream matrix.
     """
-    U, sv, Vt, cutoff, ranks = _hq_svd(mode.Hq[None])
-    group = SimpleNamespace(
-        idx=np.zeros(1, dtype=int), p_H=ranks[0], Gq=mode.Gq[None], U=U, sv=sv, Vt=Vt, cutoff=cutoff
-    )
-    return _raise_or_return(_decompose(model, group)[0][0])
+    return _raise_or_return(_decompose(model, next(_rank_groups([mode])))[0][0])
 
 
 def _raise_or_return(result):
@@ -395,35 +429,35 @@ def _gains(model: SystemModel, group: SimpleNamespace, override: np.ndarray | No
     """:func:`synthesize_gains` for a group of decompositions (``override``
     a stack of one gain per member).  Returns ``({position: gains or
     error}, group)``, the group of the members that got gains extended by
-    the stacks ``M1``, ``M2``, ``Lt`` and :func:`_abar`'s ``Phi``, ``At``,
-    ``Abar``."""
+    the stacks ``M1``, ``C2G2``, ``override``, ``M2``, ``Lt`` and
+    :func:`_abar`'s ``Phi``, ``At``, ``Abar``."""
     out: dict[int, object] = {}
     k, p_H = group.sv.shape
-    M1 = np.zeros((k, p_H, p_H))
-    M1.reshape(k, -1)[:, :: p_H + 1] = 1.0 / group.sv
-    C2G2 = group.C2 @ group.G2
-    deficient, sv = _column_rank_deficient(C2G2)
-    if any(deficient.tolist()):
-        for i in np.flatnonzero(deficient).tolist():
-            out[int(group.idx[i])] = InfeasibleModeError(
-                "C2*G2 is column-rank deficient "
-                f"(shape {C2G2.shape[1:]}, singular values {np.array2string(sv[i], precision=3)}); "
-                "the state-side attack component cannot be recovered from the residual outputs"
-            )
-        group, M1, C2G2 = _take(group, ~deficient), M1[~deficient], C2G2[~deficient]
-        override = None if override is None else override[~deficient]
-        if not group.idx.size:
-            return out, group
-    group.M1, group.M2 = M1, np.linalg.pinv(C2G2)
+    group.M1, diag = np.zeros((k, p_H, p_H)), np.arange(p_H)
+    group.M1[:, diag, diag] = 1.0 / group.sv
+    group.C2G2, group.override = group.C2 @ group.G2, override
+    deficient, sv = _column_rank_deficient(group.C2G2)
+    infeasible = {
+        i: InfeasibleModeError(
+            "C2*G2 is column-rank deficient "
+            f"(shape {group.C2G2.shape[1:]}, singular values {np.array2string(sv[i], precision=3)}); "
+            "the state-side attack component cannot be recovered from the residual outputs"
+        )
+        for i in np.flatnonzero(deficient).tolist()
+    }
+    group = _drop(group, infeasible, out)
+    if not group.idx.size:
+        return out, group
+    group.M2 = np.linalg.pinv(group.C2G2)
     group.Phi, group.At, group.Abar = _abar(group, group.M1, group.M2, model)
     n, rdim = model.n, group.C2.shape[1]
 
-    if override is not None:
-        if override.shape[1:] != (n, rdim):
-            error = f"override gain must have shape ({n}, {rdim}); got {override.shape[1:]}"
-            out.update((q, SynthesisError(error)) for q in group.idx.tolist())
-            return out, _take(group, np.zeros(group.idx.size, dtype=bool))
-        group.Lt = override
+    if group.override is not None:
+        shape = group.override.shape[1:]
+        if shape != (n, rdim):
+            error = f"override gain must have shape ({n}, {rdim}); got {shape}"
+            return out, _drop(group, {i: SynthesisError(error) for i in range(group.idx.size)}, out)
+        group.Lt = group.override
         failure = "override gain rejected: closed-loop spectral radius {:.6f} >= 1"
     elif rdim == 0:
         # no residual outputs to correct with; the open map must already be stable
@@ -434,25 +468,17 @@ def _gains(model: SystemModel, group: SimpleNamespace, override: np.ndarray | No
         )
     else:
         P = _filter_dare(group.Abar, group.C2)
-        failed = [isinstance(Pi, SynthesisError) for Pi in P]
-        if any(failed):
-            for i in [i for i, bad in enumerate(failed) if bad]:
-                out[int(group.idx[i])] = P[i]
-            group = _take(group, ~np.array(failed))
-            if not group.idx.size:
-                return out, group
-            P = [Pi for Pi, bad in zip(P, failed) if not bad]
-        P = np.array(P)
+        group = _drop(group, {i: Pi for i, Pi in enumerate(P) if isinstance(Pi, SynthesisError)}, out)
+        if not group.idx.size:
+            return out, group
+        P = np.array([Pi for Pi in P if not isinstance(Pi, SynthesisError)])
         C2T = group.C2.swapaxes(1, 2)
         S = group.C2 @ P @ C2T + np.eye(rdim)
         group.Lt = P @ C2T @ np.linalg.inv(S)
         failure = "Riccati gain failed to stabilize: spectral radius {:.6f} >= 1"
     radius = _spectral_radii((np.eye(n) - group.Lt @ group.C2) @ group.Abar)
-    unstable = [r >= 1.0 for r in radius]
-    if any(unstable):
-        for i in [i for i, u in enumerate(unstable) if u]:
-            out[int(group.idx[i])] = SynthesisError(failure.format(radius[i]), radius=radius[i])
-        group = _take(group, ~np.array(unstable))
+    unstable = {i: SynthesisError(failure.format(r), radius=r) for i, r in enumerate(radius) if r >= 1.0}
+    group = _drop(group, unstable, out)
     for i, q in enumerate(group.idx.tolist()):
         out[q] = ObserverGains(M1=group.M1[i], M2=group.M2[i], Ltilde=group.Lt[i])
     return out, group
@@ -549,3 +575,73 @@ def error_dynamics(
     if note is not None:
         warnings.warn(note, ConservativeRadiusWarning, stacklevel=2)
     return dyn
+
+
+def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, str]]:
+    """Build one observer per usable mode hypothesis.
+
+    Runs strong detectability, decomposition, gain synthesis and error
+    dynamics for each mode.  Returns ``(bank, excluded)``: ``bank`` maps a
+    mode id to its ``(mode, decomposition, gains, error dynamics)`` tuple,
+    ``excluded`` maps the id of every mode left out to the reason.
+
+    The modes that share their matrix shapes go through each stage
+    together, in chunks of at most about :data:`GROUP_BYTES`, with one
+    stacked LAPACK or matmul call per stage where
+    :func:`~smio.model.check_strong_detectability`,
+    :func:`decompose_mode`, :func:`synthesize_gains` and
+    :func:`error_dynamics` would make one per mode.  Each mode gets the
+    matrices, floats, exclusion reason and warning those functions give
+    it, and both dicts and the warnings follow the order of ``modes``.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, mode in enumerate(modes):
+        groups.setdefault((mode.Gq.shape, mode.Hq.shape), []).append(i)
+    n, ell = model.n, model.l
+    size = max(1, GROUP_BYTES // max(1, 16 * n * n * (n + 2 * ell) + 8 * ell * ell))
+    built: list = [None] * len(modes)
+    for members in groups.values():
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            for i, result in zip(chunk, _build_group(model, [modes[i] for i in chunk])):
+                built[i] = result
+    bank: dict[int, tuple] = {}
+    excluded: dict[int, str] = {}
+    for mode, (entry, warning) in zip(modes, built):
+        if warning is not None:
+            warnings.warn(warning[1], warning[0], stacklevel=1)
+        if isinstance(entry, str):
+            excluded[mode.id] = entry
+        else:
+            bank[mode.id] = entry
+    return bank, excluded
+
+
+def _build_group(model: SystemModel, modes) -> list[tuple]:
+    """Each mode's ``(bank entry or exclusion reason, (warning class,
+    message) or None)``, for modes with one shape of ``Gq`` and ``Hq``, a
+    group of one rank p_H at a time.  Detectability takes the frame of
+    ``Hq``'s SVD as LAPACK returns it, as the single-hypothesis check
+    does (the sign-fixed frame can move invariant zeros in their last
+    bits); the decomposition fixes the signs."""
+    out: list = [None] * len(modes)
+    for group in _rank_groups(modes):
+        undetectable = {}
+        zeros = _stacked_zeros(model.A, model.C, group.Gq, group.U, group.sv, group.Vt, group.p_H)
+        for i, result in enumerate(zeros):
+            detectable, message = _detectable(*result)
+            if not detectable:
+                warning = None if message is None else (DegenerateModeWarning, message)
+                undetectable[i] = "not strongly detectable", warning
+        decs, group = _decompose(model, _drop(group, undetectable, out))
+        gains, group = _gains(model, group)
+        dyns = _dynamics(model, group) if group.idx.size else {}
+        for i, dec in decs.items():
+            failure = dec if isinstance(dec, Exception) else gains[i]
+            if isinstance(failure, Exception):
+                out[i] = f"{type(failure).__name__}: {failure}", None
+            else:
+                dyn, message = dyns[i]
+                warning = None if message is None else (ConservativeRadiusWarning, message)
+                out[i] = (modes[i], dec, gains[i], dyn), warning
+    return out

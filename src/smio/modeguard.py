@@ -23,7 +23,7 @@ norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -153,24 +153,8 @@ class DetectabilityReport:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "overall_condition_i": self.overall_condition_i,
-            "overall_condition_ii": self.overall_condition_ii,
-            "certified": self.certified,
-            "note": self.note,
-            "pairs": [
-                {
-                    "q": p.q,
-                    "q_prime": p.q_prime,
-                    "dimension_matched": p.dimension_matched,
-                    "sigma_min": p.sigma_min,
-                    "threshold_ratio": p.threshold_ratio,
-                    "condition_i": p.condition_i,
-                    "condition_ii": p.condition_ii,
-                }
-                for p in self.pairs
-            ],
-        }
+        """The report as nested dicts, its pairs a tuple of dicts."""
+        return asdict(self)
 
 
 # ----------------------------------------------------------------- residuals

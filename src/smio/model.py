@@ -142,11 +142,6 @@ class ModeHypothesis:
     def rho(self) -> int:
         return self.IG.shape[1]
 
-    def __str__(self) -> str:
-        acts = ",".join(map(str, self.actuator_set)) or "-"
-        sens = ",".join(map(str, self.sensor_set)) or "-"
-        return f"mode {self.id} (actuators {{{acts}}}, sensors {{{sens}}})"
-
 
 @dataclass(frozen=True, eq=False)
 class AttackSignal:

@@ -1,7 +1,8 @@
 """Closed-loop simulation of the attacked plant and the full estimation pipeline.
 
 Simulates the switched plant under one true mode, then runs the bank of
-observers over the whole horizon at once: the plant trajectory exists
+observers (:func:`~smio.decomposition.build_bank`, re-exported here) over
+the whole horizon at once: the plant trajectory exists
 before the bank runs, each observer is a fixed affine recursion, its radii
 and thresholds do not depend on the data, and eliminating one hypothesis
 never changes another's estimates.  The plant's known-input, attack and
@@ -25,26 +26,14 @@ bulk: all directions of one kind in one call, then all radii in one call
 from __future__ import annotations
 
 import functools
-import warnings
+import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
 
-from .decomposition import ConservativeRadiusWarning, _decompose, _dynamics, _gains
-from .model import (
-    MODES_MAX,
-    AttackSignal,
-    DegenerateModeWarning,
-    ModeHypothesis,
-    SystemModel,
-    _detectable,
-    _hq_svd,
-    _some,
-    _stacked_zeros,
-    enumerate_modes,
-)
+from .decomposition import build_bank
+from .model import MODES_MAX, AttackSignal, ModeHypothesis, SystemModel, enumerate_modes
 from .modeguard import (
     ENUM_BUDGET_DEFAULT,
     K_INF_CUTOFF_DEFAULT,
@@ -84,22 +73,33 @@ __all__ = [
 HORIZON_MAX = 100_000
 
 # MODES_MAX, the largest accepted hypothesis bank, is model's: enumerate_modes
-# checks it before it builds a hypothesis.  A trace holds 8 (n + rho + 6) + 1
-# bytes per hypothesis and step (121 on the built-in plant), so a full bank
-# of such hypotheses holds about 0.12 GB per thousand steps, and building it
-# takes about 2 ms per hypothesis on a 2-core host.  Those two caps bound the
-# bank and the horizon each; TRACE_BYTES_MAX bounds their product: a config
+# checks it before it builds a hypothesis.  A trace holds the bytes of
+# _trace_layout's arrays per hypothesis and step, 8 (n + rho + 6) + 1 (121
+# on the built-in plant), so a full bank of such hypotheses holds about
+# 0.12 GB per thousand steps, and building it takes about 2 ms per hypothesis
+# on a 2-core host.  Those two caps bound the bank and the horizon each;
+# TRACE_BYTES_MAX bounds their product, by the same table: a config
 # whose trace arrays would exceed it is refused before any is allocated.  It
 # admits ``smio benchmark`` at HORIZON_MAX (about 60 MB) and a full bank of
 # such hypotheses at a horizon of 1000 (about 124 MB).
 TRACE_BYTES_MAX = 2**30
 
-# build_bank takes a group of same-shape hypotheses through each stage at
-# once, at most about this many bytes of its largest stacks at a time:
-# invariant_zeros' candidate pencils (n complex (n + 2 l)-by-n matrices per
-# hypothesis) and the l-by-l frames of Hq.  A larger group is built in
-# chunks, so no transient grows with the number of hypotheses.
-GROUP_BYTES = 2**22
+
+def _trace_layout(n: int, rho: int) -> dict[str, tuple[tuple[int, ...], object]]:
+    """The trace arrays :func:`run_pipeline` allocates, one row per step and
+    one column per hypothesis: each one's entry shape and fill value, whose
+    type is the array's dtype.  :class:`ScenarioConfig` charges their bytes
+    against :data:`TRACE_BYTES_MAX`."""
+    return {
+        "xhat": ((n,), np.nan),
+        "dhat": ((rho,), np.nan),
+        "delta_x": ((), np.nan),
+        "delta_d": ((), np.nan),
+        "r_norm": ((), np.nan),
+        "thresholds": ((3,), np.nan),  # delta_inf (NaN if none), delta_tri, delta_hat
+        "live": ((), False),
+    }
+
 
 # RunTrace.fault_kind values
 FAULT_ELIMINATED = "all_eliminated"
@@ -171,9 +171,9 @@ class ScenarioConfig:
                 f"true mode {self.true_mode} is not in the hypothesis set {sorted(ids)}"
             )
         n, m = self.model.n, self.model.m
-        # run_pipeline's trace: 8 (n + rho + 6) + 1 bytes per hypothesis and step
-        rho = self.mode_by_id(self.true_mode).rho
-        size = len(self.modes) * (self.horizon + 1) * (8 * (n + rho + 6) + 1)
+        layout = _trace_layout(n, self.mode_by_id(self.true_mode).rho).values()
+        entry = sum(math.prod(shape) * np.array(fill).itemsize for shape, fill in layout)
+        size = len(self.modes) * (self.horizon + 1) * entry
         if size > TRACE_BYTES_MAX:
             raise SimulationError(
                 f"{len(self.modes)} hypotheses over a horizon of {self.horizon} steps need "
@@ -453,87 +453,6 @@ def simulate_plant(cfg: ScenarioConfig):
     return xs, ys
 
 
-def build_bank(model: SystemModel, modes) -> tuple[dict[int, tuple], dict[int, str]]:
-    """Build one observer per usable mode hypothesis.
-
-    Runs strong detectability, decomposition, gain synthesis and error
-    dynamics for each mode.  Returns ``(bank, excluded)``: ``bank`` maps a
-    mode id to its ``(mode, decomposition, gains, error dynamics)`` tuple,
-    ``excluded`` maps the id of every mode left out to the reason.
-
-    The modes that share their matrix shapes go through each stage
-    together, in chunks of at most about :data:`GROUP_BYTES`, with one
-    stacked LAPACK or matmul call per stage where
-    :func:`~smio.model.check_strong_detectability`,
-    :func:`~smio.decomposition.decompose_mode`,
-    :func:`~smio.decomposition.synthesize_gains` and
-    :func:`~smio.decomposition.error_dynamics` would make one per mode.
-    Each mode gets the matrices, floats, exclusion reason and warning
-    those functions give it, and both dicts and the warnings follow the
-    order of ``modes``.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, mode in enumerate(modes):
-        groups.setdefault((mode.Gq.shape, mode.Hq.shape), []).append(i)
-    n, ell = model.n, model.l
-    size = max(1, GROUP_BYTES // max(1, 16 * n * n * (n + 2 * ell) + 8 * ell * ell))
-    built: list = [None] * len(modes)
-    for members in groups.values():
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            for i, result in zip(chunk, _build_group(model, [modes[i] for i in chunk])):
-                built[i] = result
-    bank: dict[int, tuple] = {}
-    excluded: dict[int, str] = {}
-    for mode, (entry, warning) in zip(modes, built):
-        if warning is not None:
-            warnings.warn(warning[1], warning[0], stacklevel=1)
-        if isinstance(entry, str):
-            excluded[mode.id] = entry
-        else:
-            bank[mode.id] = entry
-    return bank, excluded
-
-
-def _build_group(model: SystemModel, modes) -> list[tuple]:
-    """Each mode's ``(bank entry or exclusion reason, (warning class,
-    message) or None)``, for modes with one shape of ``Gq`` and ``Hq``.
-    One SVD of each ``Hq`` serves detectability and the decomposition; the
-    group splits at its rank p_H."""
-    out: list = [None] * len(modes)
-    U, sv, Vt, cutoff, ranks = _hq_svd(np.stack([mode.Hq for mode in modes]))
-    Gq = np.stack([mode.Gq for mode in modes])
-    for p_H in sorted(set(ranks)):
-        sel = [i for i, r in enumerate(ranks) if r == p_H]
-        stacks = [_some(M, sel) for M in (Gq, U, sv, Vt)]
-        passed = []
-        for i, result in zip(sel, _stacked_zeros(model.A, model.C, *stacks, p_H)):
-            detectable, message = _detectable(*result)
-            if detectable:
-                passed.append(i)
-            else:
-                warning = None if message is None else (DegenerateModeWarning, message)
-                out[i] = "not strongly detectable", warning
-        if not passed:
-            continue
-        Gq_, U_, sv_, Vt_, cut = (_some(M, passed) for M in (Gq, U, sv, Vt, cutoff))
-        group = SimpleNamespace(
-            idx=np.array(passed), p_H=p_H, Gq=Gq_, U=U_, sv=sv_, Vt=Vt_, cutoff=cut
-        )
-        decs, group = _decompose(model, group)
-        gains, group = _gains(model, group) if group.idx.size else ({}, group)
-        dyns = _dynamics(model, group) if group.idx.size else {}
-        for i in passed:
-            failure = decs[i] if isinstance(decs[i], Exception) else gains[i]
-            if isinstance(failure, Exception):
-                out[i] = f"{type(failure).__name__}: {failure}", None
-                continue
-            dyn, message = dyns[i]
-            warning = None if message is None else (ConservativeRadiusWarning, message)
-            out[i] = (modes[i], decs[i], gains[i], dyn), warning
-    return out
-
-
 def _run_mode(cfg: ScenarioConfig, dec, gains, dyn, u, y, out: dict) -> int | None:
     """Finish one hypothesis over the data rows ``u[0..N]``, ``y[0..N]``,
     given its corrected estimates in ``out["xhat"]``, and write its rows
@@ -586,17 +505,10 @@ def run_pipeline(cfg: ScenarioConfig) -> RunTrace:
     bad = None if finite.all() else int(np.argmin(finite))
     last = cfg.horizon if bad is None else max(bad - 1, 0)
     ids = tuple(sorted(bank))
-    n, Q, rho = model.n, len(ids), d_true.shape[1]
-    shapes = {
-        "xhat": (n,),
-        "dhat": (rho,),
-        "delta_x": (),
-        "delta_d": (),
-        "r_norm": (),
-        "thresholds": (3,),  # delta_inf (NaN if none), delta_tri, delta_hat
+    arrays = {
+        name: np.full((last + 1, len(ids)) + shape, fill)
+        for name, (shape, fill) in _trace_layout(model.n, d_true.shape[1]).items()
     }
-    arrays = {name: np.full((last + 1, Q) + shape, np.nan) for name, shape in shapes.items()}
-    arrays["live"] = np.zeros((last + 1, Q), dtype=bool)
     data = u[: last + 1], ys[: last + 1]  # no observer sees a non-finite output
     run_bank([bank[q][1:] for q in ids], model, xhat0, *data, arrays["xhat"])
     eliminated_at = {}

@@ -914,8 +914,8 @@ def per_hypothesis_error_dynamics(dec, gains, model):
 
 
 def per_hypothesis_bank(model, modes):
-    """``smio.sim.build_bank``'s ``(bank, excluded)``, one hypothesis at a
-    time through the stages above."""
+    """``smio.decomposition.build_bank``'s ``(bank, excluded)``, one
+    hypothesis at a time through the stages above."""
     from smio.decomposition import DecompositionError
 
     bank, excluded = {}, {}

@@ -1,8 +1,8 @@
 """The observer bank built in shape-grouped stacks.
 
-``sim.build_bank`` takes the hypotheses that share their matrix shapes
-through each stage together, in stacked LAPACK and matmul calls.  These
-tests hold it to the per-hypothesis chain it replaced
+``decomposition.build_bank`` takes the hypotheses that share their matrix
+shapes through each stage together, in stacked LAPACK and matmul calls.
+These tests hold it to the per-hypothesis chain it replaced
 (``oracles.per_hypothesis_bank``): the bytes of every bank matrix, every
 float, every exclusion reason, the order of both dicts and the warnings.
 """
@@ -17,7 +17,7 @@ import pytest
 import oracles
 from conftest import random_instance
 from smio import cli, decomposition, sim
-from smio.model import SystemModel, enumerate_modes
+from smio.model import SystemModel, _hq_svd, enumerate_modes
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -138,12 +138,30 @@ def test_stacked_bank_equals_the_per_hypothesis_chain_on_random_plants():
     assert {"not strongly detectable", "InfeasibleModeError"} <= reasons
 
 
+def test_an_ambiguous_rank_excludes_only_its_member():
+    """Three sensor pairs whose Hq share their shape and rank 2; the second
+    pair's columns are nearly parallel, so one singular value of its Hq
+    lies within 1e3 of the rank cutoff.  It is excluded with the
+    per-hypothesis RankAmbiguityError; the others are built as alone."""
+    A = [[0.5, 0.2, 0.0], [0.0, 0.4, 0.3], [0.1, 0.0, 0.6]]
+    C = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    H = [[1.0, 0.0, 1.0], [0.0, 1.0, 1e-14], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    model = _plant(A, C, np.zeros((3, 0)), H)
+    modes = enumerate_modes(0, 3, 2, model.G, model.H)
+    assert _hq_svd(np.stack([mode.Hq for mode in modes]))[4] == [2, 2, 2]
+    got, want, bank = _builds(model, modes)
+    assert got == want
+    assert list(bank) == [1, 3]
+    [(q, why)] = got[1]
+    assert q == 2 and why.startswith("RankAmbiguityError: numerical rank of Hq is ambiguous")
+
+
 def test_a_diverging_doubling_excludes_only_its_member(monkeypatch):
     """With detectability forced to pass, the unstable plant's hypothesis
     whose residual outputs miss the unstable state diverges in the
     doubling; its group's other members are built as alone."""
     name, model, modes = _edge_banks()[-1]
-    monkeypatch.setattr(sim, "_detectable", lambda zeros, note: (True, None))
+    monkeypatch.setattr(decomposition, "_detectable", lambda zeros, note: (True, None))
     monkeypatch.setattr(oracles, "per_hypothesis_detectable", lambda *args: True)
     got, want, _bank = _builds(model, modes)
     assert got == want
@@ -210,8 +228,8 @@ def test_bank_transients_do_not_grow_with_the_bank(monkeypatch):
     _traced_peak(model, modes[:1])  # lazy imports and caches outside the measurement
     one_peak, _ = _traced_peak(model, modes[:1])
     peak, retained = _traced_peak(model, modes)
-    assert peak - retained <= one_peak + sim.GROUP_BYTES
+    assert peak - retained <= one_peak + decomposition.GROUP_BYTES
     # one hypothesis per chunk: the transients are one hypothesis's
-    monkeypatch.setattr(sim, "GROUP_BYTES", 0)
+    monkeypatch.setattr(decomposition, "GROUP_BYTES", 0)
     peak, retained = _traced_peak(model, modes)
     assert peak - retained <= 1.5 * one_peak

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import row_by_row_trace_csv
-from smio import cli
+from smio import cli, sim
 from smio.modeguard import eliminate
 from smio.sim import HORIZON_MAX, benchmark_model, benchmark_scenario, run_pipeline
 
@@ -474,6 +474,30 @@ def test_trace_above_the_size_cap_rejected_before_any_allocation(tmp_path, capsy
     assert not (tmp_path / "x.csv").exists()
     # the cap admits the built-in bank at the largest horizon
     assert benchmark_scenario(horizon=HORIZON_MAX).horizon == HORIZON_MAX
+
+
+@pytest.mark.filterwarnings("ignore::smio.decomposition.ConservativeRadiusWarning")
+@pytest.mark.parametrize("source", ["built-in", "known_input_bank"])
+def test_the_trace_cap_charges_the_bytes_a_run_allocates(source, monkeypatch):
+    """The bytes per hypothesis and step that ScenarioConfig charges against
+    TRACE_BYTES_MAX are the run's trace arrays' bytes over Q (H + 1): a cap
+    of exactly the charge admits the config, one byte less refuses it."""
+    if source == "built-in":
+        cfg = benchmark_scenario(seed=0, horizon=40)
+    else:
+        demo = Path(__file__).resolve().parent.parent / "demos" / f"{source}.json"
+        cfg = cli.load_scenario(demo, horizon=40)
+    trace = run_pipeline(cfg)
+    assert trace.fault is None and not trace.excluded
+    names = ("xhat", "dhat", "delta_x", "delta_d", "r_norm", "delta_inf", "delta_tri", "delta_hat", "live")
+    held = sum(getattr(trace, name).nbytes for name in names)
+    entries = len(trace.mode_ids) * (cfg.horizon + 1)
+    assert held % entries == 0
+    monkeypatch.setattr(sim, "TRACE_BYTES_MAX", held)
+    dataclasses.replace(cfg)
+    monkeypatch.setattr(sim, "TRACE_BYTES_MAX", held - 1)
+    with pytest.raises(sim.SimulationError, match="GiB of trace arrays"):
+        dataclasses.replace(cfg)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
