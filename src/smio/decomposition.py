@@ -81,9 +81,9 @@ class SynthesisError(DecompositionError):
 class ConservativeRadiusWarning(UserWarning):
     """The error map is stable but norm-expansive: ||Ae||_2 >= 1 > spectral radius.
 
-    The per-step radius recursion contracts in norm, so its bounds grow
-    transiently (possibly for a long time) even though the true estimation
-    error stays bounded.
+    The per-step radius recursion delta <- theta * delta + c never contracts,
+    so its bounds grow without bound (and can overflow to inf) even though
+    the true estimation error stays bounded.
     """
 
 
@@ -516,13 +516,13 @@ def _dynamics(model: SystemModel, group: SimpleNamespace) -> dict[int, tuple]:
     Bev1 = IL @ Bev1_star
     Bev2 = IL @ Bev2_star - group.Lt @ group.T2
     # one LAPACK call per shape: the n-by-n maps, then the n-by-l ones, then
-    # each of the four smaller norms (_norm2's call, for every member)
+    # each of the four smaller norms (_norm2's floats, for every member)
     k = group.idx.size
     nn = _stacked_norm2(np.concatenate((Ae, group.At, Bew))).reshape(3, k).tolist()
     nl = _stacked_norm2(np.concatenate((G1M1T1, Bev1, Bev2))).reshape(3, k).tolist()
     (theta, a_pred, w_gain), (v_pred, bev1, bev2) = nn, nl
     v1m1, v2m2, c1, c2 = (
-        np.linalg.svd(M, compute_uv=False)[:, 0].tolist() if M.size else [0.0] * k
+        _stacked_norm2(M).tolist()
         for M in (group.V1 @ group.M1, group.V2 @ group.M2, group.C1, group.C2)
     )
     expansive = [i for i, t in enumerate(theta) if t >= 1.0]
@@ -553,7 +553,7 @@ def _dynamics(model: SystemModel, group: SimpleNamespace) -> dict[int, tuple]:
             note = (
                 f"error map is stable (spectral radius {radii[i]:.4f}) but "
                 f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
-                "radius will grow transiently and its recursion never contracts"
+                "radius recursion never contracts, so the radius grows without bound"
             )
         out[q] = dyn, note
     return out

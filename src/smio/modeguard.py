@@ -228,9 +228,10 @@ class ThresholdTracker:
     block of levels at a time, from the expression (:meth:`_tri`) that
     :meth:`threshold_tri` evaluates.  The
     :func:`build_stacked` / :func:`threshold_tri` functions are thin
-    stateless wrappers over a throwaway tracker, and :func:`tri_limit`
-    reads the first two levels and the boundary norms of one, so there is
-    exactly one definition of the blocks in the package.
+    stateless wrappers over a throwaway tracker (:func:`_tracker_at`), and
+    :func:`tri_limit` reads the first two levels and the boundary norms of
+    one, so :meth:`_compute_block` is the one definition of the blocks in
+    the package.
     """
 
     # Largest block of levels computed at once; bounds the temporary stacks.
@@ -259,8 +260,6 @@ class ThresholdTracker:
         self._Bev1 = errdyn.Bev1
         self._Mv = errdyn.Bev1 + errdyn.Ae @ errdyn.Bev2
         self._C2A = C2 @ errdyn.Abar
-        self._n = errdyn.Abar.shape[0]
-        self._l = dec.T2.shape[1]
         # k-independent boundary blocks
         self._w_last = C2 @ errdyn.Bew_star
         self._v0_at_k1 = C2 @ errdyn.Bev1_star
@@ -299,48 +298,41 @@ class ThresholdTracker:
         # block's first rows, so that no block stays pinned
         keep = min(max(self.k_inf_cutoff + 1 - j0, 0), size)
         if self._zero_tail:
-            self._zero_block(size, keep)
-            return
-        # the powers are sequential; np.dot gives row @ Ae's floats (the
-        # same BLAS call) with less call overhead
-        dot, Ae = np.dot, self._Ae
-        rows = np.empty((size,) + self._C2A.shape)
-        row = rows[0] = self._C2A if j0 == 0 else dot(self._last_row, Ae)
-        for i in range(1, size):
-            row = rows[i] = dot(row, Ae)
-        self._last_row = row
-        # an all-zero row has all-zero successors and products only when
-        # the matrices it meets are finite (0 * inf is NaN)
-        self._zero_tail = not row.any() and all(
-            np.isfinite(M).all() for M in (Ae, self._Bew, self._Bev1, self._Mv)
-        )
-        # one product per family: a stacked matmul multiplies level by
-        # level, as row @ B does
-        wprod, bprod, mvprod = rows @ self._Bew, rows @ self._Bev1, rows @ self._Mv
-        # one 2-norm call per shape: the r-by-n rows with their Bew products,
-        # then the r-by-l Bev1 and Mv products
-        row_w = _stacked_norm2(np.concatenate((rows, wprod)))
-        bev1_mv = _stacked_norm2(np.concatenate((bprod, mvprod)))
+            # every row and product after an all-zero row is zero: each norm
+            # is 0.0 and each running sum keeps its total, the floats the
+            # stepped block would give, with no product and no 2-norm call
+            rows = np.zeros((keep,) + self._C2A.shape)
+            row_w = bev1_mv = np.zeros(2 * size)
+        else:
+            # the powers are sequential; np.dot gives row @ Ae's floats (the
+            # same BLAS call) with less call overhead
+            dot, Ae = np.dot, self._Ae
+            rows = np.empty((size,) + self._C2A.shape)
+            row = rows[0] = self._C2A if j0 == 0 else dot(self._last_row, Ae)
+            for i in range(1, size):
+                row = rows[i] = dot(row, Ae)
+            self._last_row = row
+            # an all-zero row has all-zero successors and products only when
+            # the matrices it meets are finite (0 * inf is NaN)
+            self._zero_tail = not row.any() and all(
+                np.isfinite(M).all() for M in (Ae, self._Bew, self._Bev1, self._Mv)
+            )
+            # one product per family: a stacked matmul multiplies level by
+            # level, as row @ B does
+            wprod, bprod, mvprod = rows @ self._Bew, rows @ self._Bev1, rows @ self._Mv
+            # one 2-norm call per shape: the r-by-n rows with their Bew
+            # products, then the r-by-l Bev1 and Mv products
+            row_w = _stacked_norm2(np.concatenate((rows, wprod)))
+            bev1_mv = _stacked_norm2(np.concatenate((bprod, mvprod)))
         self._row_norm += row_w[:size].tolist()
         self._bev1_norm += bev1_mv[:size].tolist()
         for cum, norms in ((self._cum_w, row_w[size:]), (self._cum_mv, bev1_mv[size:])):
             # seeded with the previous total, cumsum adds left to right,
             # so every running sum is the float a Python loop would give
+            # (and x + 0.0 is x)
             cum += np.cumsum(np.concatenate(([cum[-1]], norms)))[1:].tolist()
         if keep:
             self._rows = np.concatenate((self._rows, rows[:keep]))
-
-    def _zero_block(self, size: int, keep: int) -> None:
-        """The next ``size`` levels after an all-zero row: every row and
-        product is zero, so each norm is 0.0 and each running sum keeps its
-        total, the floats the stepped block would give; the first ``keep``
-        levels add zero rows."""
-        self._row_norm += [0.0] * size
-        self._bev1_norm += [0.0] * size
-        self._cum_w += [self._cum_w[-1]] * size
-        self._cum_mv += [self._cum_mv[-1]] * size
-        if keep:
-            self._rows = np.concatenate((self._rows, np.zeros((keep,) + self._C2A.shape)))
 
     def advance(self) -> tuple[float | None, float, float]:
         """Move to the next step and return (delta_inf, delta_tri, delta_hat)."""
@@ -428,7 +420,7 @@ class ThresholdTracker:
             older = self._rows[k - 2 :: -1]
             w, b, mv = older @ self._Bew, older[:1] @ self._Bev1, older[1:] @ self._Mv
             blocks = (self._rows[k - 1], *w, self._w_last, *b, *mv, self._v_prev, self._v_last)
-        n, l = self._n, self._l
+        n, l = self._C2A.shape[1], self._v_last.shape[1]
         A = np.concatenate(blocks, axis=1)
         bounds = np.repeat((self.delta_x0, self.eta_w, self.eta_v), (n, n * k, l * (k + 1)))
         return StackedResidualModel(k=k, n=n, l=l, Aq_k=A, bounds=bounds)
@@ -449,11 +441,18 @@ def build_stacked(
     k = int(k)
     if k < 1:
         raise ValueError("stacked residual map starts at k = 1")
-    tracker = ThresholdTracker(
-        errdyn, dec, eta_w=eta_w, eta_v=eta_v, delta_x0=delta_x0, k_inf_cutoff=k
-    )
+    bounds = dict(eta_w=eta_w, eta_v=eta_v, delta_x0=delta_x0)
+    return _tracker_at(errdyn, dec, k, k, **bounds).stacked()
+
+
+def _tracker_at(
+    errdyn: ErrorDynamics, dec: ModeDecomposition, k: int, k_inf_cutoff: int = 0, **bounds
+) -> ThresholdTracker:
+    """A new tracker moved to level k, the throwaway tracker of each
+    stateless function; ``bounds`` are its noise keywords."""
+    tracker = ThresholdTracker(errdyn, dec, k_inf_cutoff=k_inf_cutoff, **bounds)
     tracker.extend(k)
-    return tracker.stacked()
+    return tracker
 
 
 def threshold_inf(sm: StackedResidualModel, enum_budget: int = ENUM_BUDGET_DEFAULT) -> float:
@@ -587,11 +586,8 @@ def threshold_tri(
     k = int(k)
     if k < 1:
         raise ValueError("triangle threshold starts at k = 1")
-    tracker = ThresholdTracker(
-        errdyn, dec, eta_w=eta_w, eta_v=eta_v, delta_x0=delta_x0, k_inf_cutoff=0
-    )
-    tracker.extend(k)
-    return tracker.threshold_tri()
+    bounds = dict(eta_w=eta_w, eta_v=eta_v, delta_x0=delta_x0)
+    return _tracker_at(errdyn, dec, k, **bounds).threshold_tri()
 
 
 def tri_limit(errdyn: ErrorDynamics, dec: ModeDecomposition, eta_w: float, eta_v: float) -> float:
@@ -606,8 +602,7 @@ def tri_limit(errdyn: ErrorDynamics, dec: ModeDecomposition, eta_w: float, eta_v
         raise DivergenceError(
             f"triangle threshold has no finite limit: theta = ||Ae||_2 = {theta:.6f} >= 1"
         )
-    t = ThresholdTracker(errdyn, dec, k_inf_cutoff=0)
-    t.extend(2)
+    t = _tracker_at(errdyn, dec, 2)
     s_w = t._cum_w[1] + t._row_norm[1] * errdyn.w_gain / (1.0 - theta)
     s_v = t._cum_mv[2] + t._row_norm[1] * _norm2(t._Mv) / (1.0 - theta)
     return eta_w * (t._nw_last + s_w) + eta_v * (s_v + t._nv_prev + t._nv_last)
@@ -726,6 +721,7 @@ def detectability_report(
             sigma_min = None
             ratio = None
             cond_i = None
+            cond_ii = True
             if matched:
                 r = dec_q.residual_dim
                 W = np.concatenate(
@@ -746,11 +742,8 @@ def detectability_report(
                     num = limits[mode_q.id] + limits[mode_p.id] + R_z
                     ratio = num / denom if denom > 0 else math.inf
                     cond_i = sigma_min > ratio
-            if matched:
                 proj_gap = _norm2(dec_q.T2.T @ dec_q.T2 - dec_p.T2.T @ dec_p.T2)
                 cond_ii = proj_gap > 1e-8
-            else:
-                cond_ii = True
             pairs.append(
                 PairRecord(
                     q=mode_q.id,

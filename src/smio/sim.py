@@ -76,8 +76,10 @@ HORIZON_MAX = 100_000
 # checks it before it builds a hypothesis.  A trace holds the bytes of
 # _trace_layout's arrays per hypothesis and step, 8 (n + rho + 6) + 1 (121
 # on the built-in plant), so a full bank of such hypotheses holds about
-# 0.12 GB per thousand steps, and building it takes about 2 ms per hypothesis
-# on a 2-core host.  Those two caps bound the bank and the horizon each;
+# 0.12 GB per thousand steps.  Hypotheses of one shape are built as one
+# stack, at about 0.15 ms each (220 in about 31 ms, the built-in five in about
+# 2.5 ms: best of 20 and of 50 calls on a 2-core host with one BLAS thread).
+# Those two caps bound the bank and the horizon each;
 # TRACE_BYTES_MAX bounds their product, by the same table: a config
 # whose trace arrays would exceed it is refused before any is allocated.  It
 # admits ``smio benchmark`` at HORIZON_MAX (about 60 MB) and a full bank of
@@ -313,33 +315,20 @@ class RunTrace:
             # over all K rows: a one-row product could round differently
             xstar = stage_rows(dec, gains, model, self.xhat[:, i], self.inputs[:K], self.outputs[:K])[0]
             xstar.setflags(write=False)
-            x0 = self.xhat[0, i]
-            states = [
-                ObserverState(
-                    xhat_kk=x0,
-                    xhat_star=x0,
-                    dhat_prev=None,
-                    delta_x=float(self.delta_x[0, i]),
-                    delta_d=None,
-                    k=0,
-                    u_prev=self.inputs[0],
-                    y_prev=self.outputs[0],
-                )
-            ]
-            states += [
+            # step 0 is the initial state: no input estimate yet
+            per_mode[q] = [
                 ObserverState(
                     xhat_kk=self.xhat[k, i],
-                    xhat_star=xstar[k - 1],
-                    dhat_prev=self.dhat[k, i],
+                    xhat_star=xstar[k - 1] if k else self.xhat[0, i],
+                    dhat_prev=self.dhat[k, i] if k else None,
                     delta_x=float(self.delta_x[k, i]),
-                    delta_d=float(self.delta_d[k, i]),
+                    delta_d=float(self.delta_d[k, i]) if k else None,
                     k=k,
                     u_prev=self.inputs[k],
                     y_prev=self.outputs[k],
                 )
-                for k in range(1, self._last_step(q) + 1)
+                for k in range(self._last_step(q) + 1)
             ]
-            per_mode[q] = states
         return tuple(
             {q: states[min(k, len(states) - 1)] for q, states in per_mode.items()}
             for k in range(K)

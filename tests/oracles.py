@@ -906,7 +906,7 @@ def per_hypothesis_error_dynamics(dec, gains, model):
             warnings.warn(
                 f"error map is stable (spectral radius {radius:.4f}) but "
                 f"norm-expansive (theta = {dyn.theta:.4f} >= 1): the per-step error "
-                "radius will grow transiently and its recursion never contracts",
+                "radius recursion never contracts, so the radius grows without bound",
                 ConservativeRadiusWarning,
                 stacklevel=2,
             )

@@ -827,6 +827,48 @@ def test_tracker_zero_tail_calls_no_svd(benchmark_model, benchmark_modes, monkey
         assert len(set(tracker._cum_w[255:])) == len(set(tracker._cum_mv[256:])) == 1
 
 
+@pytest.mark.parametrize("cap", [1, 7, None], ids=["cap1", "cap7", "cap-default"])
+@pytest.mark.parametrize("cutoff", [0, 2, 25])
+def test_tracker_zero_tail_inside_the_enumerated_window(monkeypatch, cutoff, cap):
+    """A nilpotent error map puts the exact zero tail at level 2, before
+    the cutoff: the rows C2*Abar*Ae^j are zero from j = 2 on.  The tracker
+    still gives the reference's thresholds and stacked maps at every
+    level, whatever its block schedule."""
+    from smio.decomposition import ConservativeRadiusWarning
+    from smio.model import SystemModel
+
+    if cap is not None:
+        monkeypatch.setattr(ThresholdTracker, "_BLOCK_CAP", cap)
+    # the 3-by-3 shift (A^3 = 0), every sensor safe; a zero gain keeps Ae = A
+    model = SystemModel(
+        A=np.eye(3, k=1),
+        B=np.zeros((3, 1)),
+        C=np.eye(3),
+        D=np.zeros((3, 1)),
+        G=np.zeros((3, 0)),
+        H=np.zeros((3, 0)),
+        eta_w=0.01,
+        eta_v=0.001,
+        delta_x0=0.2,
+    )
+    (mode,) = enumerate_modes(0, 0, 0, model.G, model.H)
+    dec = decompose_mode(model, mode)
+    gains = synthesize_gains(dec, model, override=np.zeros((3, 3)))
+    with pytest.warns(ConservativeRadiusWarning):  # theta = ||A||_2 = 1
+        dyn = error_dynamics(dec, gains, model)
+    assert np.array_equal(dyn.Ae, model.A)
+    tracker = _tracker(model, dec, dyn, cutoff)
+    ref = _per_level(model, dec, dyn, cutoff)
+    for k in range(1, 61):
+        got = tracker.advance()
+        expected, A = _reference_advance(ref)
+        assert got == expected, k
+        if k <= cutoff:
+            assert np.array_equal(tracker.stacked().Aq_k, A), k
+    assert tracker._zero_tail
+    assert ref.rows[1].any() and not any(row.any() for row in ref.rows[2:])
+
+
 def test_stacked_norm2_of_mixed_zero_and_nonzero_matrices():
     from smio.decomposition import _norm2
 
